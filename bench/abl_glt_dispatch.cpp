@@ -1,11 +1,10 @@
-// Ablation — ULT dispatch throughput of the abt backend, locked-FIFO
-// baseline vs. the Chase–Lev work-stealing scheduler (PR 1 tentpole).
+// Ablation — ULT dispatch throughput of the shared Chase–Lev
+// work-stealing core (sched::WsCore), native abt and through the GLT
+// facade over all three backends.
 //
-// Two shapes per (dispatch × threads) cell:
+// Two shapes per threads cell on native abt:
 //  * burst  — create kBurst unpinned ULTs from the primary, then join them
-//             all: the fine-grained spawn storm of Figs. 4–5. The locked
-//             baseline serializes every push/pop on one spinlock and pays
-//             a heap allocation + stack-pool lock per spawn; the deque
+//             all: the fine-grained spawn storm of Figs. 4–5. The deque
 //             path is lock-free end to end (owner push, freelist pop,
 //             stack-cache hit) and idle xstreams steal the backlog.
 //  * pingpong — create+join one ULT at a time: dispatch latency, the
@@ -13,28 +12,26 @@
 //             to win back.
 //
 // A third section sweeps the same burst through the GLT facade for ALL
-// three backends × {locked, ws} — the dispatch-parity ablation: every
-// backend now runs the shared sched::WsCore, and $ABT_DISPATCH /
-// $QTH_DISPATCH / $MTH_DISPATCH select each backend's seed-style locked
-// baseline. (glt-over-abt doubles as the §III-B "GLT overhead is
-// negligible" check against the native abt rows.) Emits JSONL per row via
-// $GLTO_BENCH_JSON.
+// three backends — the dispatch-parity ablation: every backend runs the
+// shared sched::WsCore. (glt-over-abt doubles as the §III-B "GLT overhead
+// is negligible" check against the native abt rows.) Emits JSONL per row
+// via $GLTO_BENCH_JSON.
 //
-// Two further sections (task ABI v2 PR):
+// Further sections:
 //  * burst-co — the same facade burst joined in *completion order*: a
 //    sinc-style counter signals when every unit's body has run, then the
 //    joins only reclaim handles (each can at most overlap a unit's
 //    completion epilogue, never an unexecuted body). The creation-order
 //    join makes qth's FEB joins bounce main through the word-lock table
 //    whenever the thief lags, so this variant isolates pure dispatch
-//    cost from join-order artifacts (the ROADMAP open item).
+//    cost from join-order artifacts.
 //    glt::ult_is_done is the per-handle form of the same probe; its
 //    conformance tests live in tests/test_glt.cpp.
-//  * omp-task — kBurst omp::task spawns from a single producer on
-//    glto-abt: v2 inline-payload descriptors vs the boxed v1 path (a
-//    std::function pushed through the deprecated overload, which spills
-//    every payload). task_stats() prints the task_inline/task_alloc
-//    split, proving the inline rate.
+//  * omp-task — kBurst omp::task spawns on glto-abt from a single producer
+//    and from every team member, plus a taskloop bulk deposit, chaos-hook
+//    overhead, and a boxed std::function baseline that spills every
+//    payload. task_stats() prints the task_inline/task_alloc split,
+//    proving the inline rate.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -46,7 +43,6 @@
 #include "bench_common.hpp"
 #include "glt/glt.hpp"
 #include "sched/chaos.hpp"
-#include "sched/dispatch.hpp"
 
 namespace ga = glto::abt;
 namespace gg = glto::glt;
@@ -109,86 +105,62 @@ int main() {
   const int scale = static_cast<int>(b::scale());
   const int burst = kBurst * scale;
 
-  std::printf("Ablation: abt dispatch — locked FIFO (seed baseline) vs "
-              "Chase–Lev work stealing\n");
+  std::printf("Ablation: ULT dispatch on the Chase–Lev work-stealing core\n");
   std::printf("burst=%d ULTs, pingpong=%d create+join pairs, %d reps/cell\n",
               burst, burst / 4, reps);
 
-  struct Mode {
-    const char* env;   // ABT_DISPATCH value
-    const char* name;  // row label
-  };
-  const Mode modes[] = {{"locked", "abt-locked"}, {"ws", "abt-ws"}};
-
   b::print_header("abt dispatch: burst spawn+join (s)");
-  for (const Mode& m : modes) {
-    c::env_set("ABT_DISPATCH", m.env);
-    for (int nth : b::thread_sweep()) {
-      AbtRun rt(nth);
-      (void)run_burst_abt(burst);  // warm freelists / stack caches
-      auto st = b::time_runs(reps, [&] { (void)run_burst_abt(burst); });
-      b::print_row(m.name, nth, st);
-    }
+  for (int nth : b::thread_sweep()) {
+    AbtRun rt(nth);
+    (void)run_burst_abt(burst);  // warm freelists / stack caches
+    auto st = b::time_runs(reps, [&] { (void)run_burst_abt(burst); });
+    b::print_row("abt-ws", nth, st);
   }
 
   b::print_header("abt dispatch: create+join pingpong (s)");
-  for (const Mode& m : modes) {
-    c::env_set("ABT_DISPATCH", m.env);
-    for (int nth : b::thread_sweep()) {
-      AbtRun rt(nth);
-      (void)run_pingpong_abt(burst / 4);
-      auto st = b::time_runs(reps, [&] { (void)run_pingpong_abt(burst / 4); });
-      b::print_row(m.name, nth, st);
-    }
+  for (int nth : b::thread_sweep()) {
+    AbtRun rt(nth);
+    (void)run_pingpong_abt(burst / 4);
+    auto st = b::time_runs(reps, [&] { (void)run_pingpong_abt(burst / 4); });
+    b::print_row("abt-ws", nth, st);
   }
 
   // Dispatch-parity sweep: the same burst through the GLT facade over all
-  // three backends × {locked, ws}. One run covers what used to need three
-  // GLT_IMPL invocations; glt-over-abt additionally measures the
-  // runtime-dispatch layer the paper claims is negligible (§III-B).
-  struct Backend {
-    gg::Impl impl;
-    const char* dispatch_env;  // the backend's *_DISPATCH variable
-  };
-  const Backend backends[] = {{gg::Impl::abt, "ABT_DISPATCH"},
-                              {gg::Impl::qth, "QTH_DISPATCH"},
-                              {gg::Impl::mth, "MTH_DISPATCH"}};
+  // three backends. One run covers what used to need three GLT_IMPL
+  // invocations; glt-over-abt additionally measures the runtime-dispatch
+  // layer the paper claims is negligible (§III-B).
+  const gg::Impl backends[] = {gg::Impl::abt, gg::Impl::qth, gg::Impl::mth};
 
   b::print_header("glt backend dispatch parity: burst spawn+join (s)");
-  for (const Backend& be : backends) {
-    for (const Mode& m : modes) {
-      c::env_set(be.dispatch_env, m.env);
-      for (int nth : b::thread_sweep()) {
-        gg::Config cfg;
-        cfg.impl = be.impl;
-        cfg.num_threads = nth;
-        cfg.bind_threads = false;
-        gg::init(cfg);
-        auto run_glt = [&] {
-          std::vector<gg::Ult*> us;
-          us.reserve(static_cast<std::size_t>(burst));
-          for (int i = 0; i < burst; ++i) {
-            us.push_back(gg::ult_create(work, nullptr));
-          }
-          for (auto* u : us) gg::ult_join(u);
-        };
-        run_glt();  // warm freelists / stack caches
-        auto st = b::time_runs(reps, run_glt);
-        char row[64];
-        std::snprintf(row, sizeof row, "%s-%s", gg::impl_name(be.impl),
-                      m.env);
-        b::print_row(row, nth, st);
-        const auto gs = gg::stats();
-        std::printf(
-            "    steals=%llu failed_steals=%llu stack_cache_hits=%llu "
-            "parks=%llu\n",
-            static_cast<unsigned long long>(gs.steals),
-            static_cast<unsigned long long>(gs.failed_steals),
-            static_cast<unsigned long long>(gs.stack_cache_hits),
-            static_cast<unsigned long long>(gs.parks));
-        gg::finalize();
-      }
-      c::env_set(be.dispatch_env, nullptr);
+  for (const gg::Impl impl : backends) {
+    for (int nth : b::thread_sweep()) {
+      gg::Config cfg;
+      cfg.impl = impl;
+      cfg.num_threads = nth;
+      cfg.bind_threads = false;
+      gg::init(cfg);
+      auto run_glt = [&] {
+        std::vector<gg::Ult*> us;
+        us.reserve(static_cast<std::size_t>(burst));
+        for (int i = 0; i < burst; ++i) {
+          us.push_back(gg::ult_create(work, nullptr));
+        }
+        for (auto* u : us) gg::ult_join(u);
+      };
+      run_glt();  // warm freelists / stack caches
+      auto st = b::time_runs(reps, run_glt);
+      char row[64];
+      std::snprintf(row, sizeof row, "%s-ws", gg::impl_name(impl));
+      b::print_row(row, nth, st);
+      const auto gs = gg::stats();
+      std::printf(
+          "    steals=%llu failed_steals=%llu stack_cache_hits=%llu "
+          "parks=%llu\n",
+          static_cast<unsigned long long>(gs.steals),
+          static_cast<unsigned long long>(gs.failed_steals),
+          static_cast<unsigned long long>(gs.stack_cache_hits),
+          static_cast<unsigned long long>(gs.parks));
+      gg::finalize();
     }
   }
 
@@ -200,75 +172,54 @@ int main() {
   // artifact that bounced qth's FEB joins through the word-lock table),
   // so the cell measures pure dispatch throughput.
   b::print_header("glt dispatch parity: burst, completion-order join (s)");
-  for (const Backend& be : backends) {
-    for (const Mode& m : modes) {
-      c::env_set(be.dispatch_env, m.env);
-      for (int nth : b::thread_sweep()) {
-        gg::Config cfg;
-        cfg.impl = be.impl;
-        cfg.num_threads = nth;
-        cfg.bind_threads = false;
-        gg::init(cfg);
-        auto run_co = [&] {
-          const std::uint64_t base =
-              g_done.load(std::memory_order_relaxed);
-          std::vector<gg::Ult*> us;
-          us.reserve(static_cast<std::size_t>(burst));
-          for (int i = 0; i < burst; ++i) {
-            us.push_back(gg::ult_create(work_counted, nullptr));
-          }
-          while (g_done.load(std::memory_order_acquire) - base <
-                 static_cast<std::uint64_t>(burst)) {
-            gg::yield();  // run/steal the backlog instead of blocking
-          }
-          // Every unit has run its body; joins only reclaim handles (a
-          // unit may still be in its completion epilogue — ult_is_done
-          // can lag the counter by a few instructions — so the join, not
-          // the probe, is the reclaim step).
-          for (auto* u : us) gg::ult_join(u);
-        };
-        run_co();  // warm freelists / stack caches
-        auto st = b::time_runs(reps, run_co);
-        char row[64];
-        std::snprintf(row, sizeof row, "%s-%s-co", gg::impl_name(be.impl),
-                      m.env);
-        b::print_row(row, nth, st);
-        gg::finalize();
-      }
-      c::env_set(be.dispatch_env, nullptr);
+  for (const gg::Impl impl : backends) {
+    for (int nth : b::thread_sweep()) {
+      gg::Config cfg;
+      cfg.impl = impl;
+      cfg.num_threads = nth;
+      cfg.bind_threads = false;
+      gg::init(cfg);
+      auto run_co = [&] {
+        const std::uint64_t base = g_done.load(std::memory_order_relaxed);
+        std::vector<gg::Ult*> us;
+        us.reserve(static_cast<std::size_t>(burst));
+        for (int i = 0; i < burst; ++i) {
+          us.push_back(gg::ult_create(work_counted, nullptr));
+        }
+        while (g_done.load(std::memory_order_acquire) - base <
+               static_cast<std::uint64_t>(burst)) {
+          gg::yield();  // run/steal the backlog instead of blocking
+        }
+        // Every unit has run its body; joins only reclaim handles (a
+        // unit may still be in its completion epilogue — ult_is_done
+        // can lag the counter by a few instructions — so the join, not
+        // the probe, is the reclaim step).
+        for (auto* u : us) gg::ult_join(u);
+      };
+      run_co();  // warm freelists / stack caches
+      auto st = b::time_runs(reps, run_co);
+      char row[64];
+      std::snprintf(row, sizeof row, "%s-ws-co", gg::impl_name(impl));
+      b::print_row(row, nth, st);
+      gg::finalize();
     }
   }
 
   // omp::task descriptor ablation (task ABI v2): the fig14-shaped single
   // producer, kBurst tasks per run, over glto-abt. "v2" spawns tasks with
   // a capture-free callable (inline descriptor payload, freelist-recycled
-  // TaskArg — zero heap allocations after warm-up); "boxed" pushes the
-  // same work through the deprecated std::function overload, the v1 cost
-  // model (type-erased callable + spilled payload on every spawn).
-  //
-  // The single-producer cell sweeps $GLTO_WAKE_POLICY (the fan-out
-  // dispatch PR's ablation axis): `one` = targeted wake per deposit (the
-  // default), `threshold` = bulk deposits engage victims proportionally,
-  // `all` = the legacy per-push broadcast. JSONL rows carry the policy
-  // plus park/wake counter deltas so BENCH_dispatch.json can attribute
-  // wins to the wakeup protocol rather than container noise.
-  const char* const kWakePolicies[] = {"one", "threshold", "all"};
-  // The sweeps override $GLTO_WAKE_POLICY per cell; the caller's ambient
-  // value (CI re-runs the whole binary under each policy) is restored
-  // afterwards so the non-sweep cells measure what the caller asked for.
-  const auto ambient_policy = c::env_str("GLTO_WAKE_POLICY");
-  const auto restore_policy = [&] {
-    c::env_set("GLTO_WAKE_POLICY",
-               ambient_policy ? ambient_policy->c_str() : nullptr);
-  };
-  const auto wake_kv = [](const char* pol, const gg::Stats& s0,
-                          const gg::Stats& s1) {
+  // TaskArg — zero heap allocations after warm-up); "boxed" (below) pushes
+  // the same work as a std::function (type-erased callable + spilled
+  // payload on every spawn). JSONL rows carry park/wake counter deltas so
+  // BENCH_dispatch.json can attribute wins to the wakeup protocol rather
+  // than container noise.
+  const auto wake_kv = [](const gg::Stats& s0, const gg::Stats& s1) {
     char kv[256];
     std::snprintf(
         kv, sizeof kv,
-        "\"wake_policy\": \"%s\", \"parks\": %llu, \"wakes_issued\": %llu, "
+        "\"parks\": %llu, \"wakes_issued\": %llu, "
         "\"wakes_spurious\": %llu, \"bulk_deposits\": %llu",
-        pol, static_cast<unsigned long long>(s1.parks - s0.parks),
+        static_cast<unsigned long long>(s1.parks - s0.parks),
         static_cast<unsigned long long>(s1.wakes_issued - s0.wakes_issued),
         static_cast<unsigned long long>(s1.wakes_spurious -
                                         s0.wakes_spurious),
@@ -277,84 +228,66 @@ int main() {
     return std::string(kv);
   };
 
-  b::print_header(
-      "omp task burst on glto-abt: single producer x wake policy (s)");
-  for (const char* pol : kWakePolicies) {
-    c::env_set("GLTO_WAKE_POLICY", pol);
-    for (int nth : b::thread_sweep()) {
-      b::select_runtime(o::RuntimeKind::glto_abt, nth);
-      const auto run_v2 = [&] {
-        o::parallel([&](int, int) {
-          o::single([&] {
-            for (int i = 0; i < burst; ++i) {
-              o::task([] { g_sink.fetch_add(1, std::memory_order_relaxed); });
-            }
-            o::taskwait();
-          });
-        });
-      };
-      run_v2();  // warm the record freelists
-      const auto before = o::task_stats();
-      const auto gs0 = gg::stats();
-      auto st = b::time_runs(reps, run_v2);
-      const auto gs1 = gg::stats();
-      const auto after = o::task_stats();
-      char row[64];
-      std::snprintf(row, sizeof row, "task-v2-%s", pol);
-      b::print_row_json(row, nth, st, wake_kv(pol, gs0, gs1));
-      std::printf(
-          "    task_inline=+%llu task_alloc=+%llu (inline rate %.1f%%) "
-          "parks=+%llu wakes=+%llu spurious=+%llu\n",
-          static_cast<unsigned long long>(after.task_inline -
-                                          before.task_inline),
-          static_cast<unsigned long long>(after.task_alloc -
-                                          before.task_alloc),
-          100.0 *
-              static_cast<double>(after.task_inline - before.task_inline) /
-              static_cast<double>((after.task_inline - before.task_inline) +
-                                  (after.task_alloc - before.task_alloc) +
-                                  1e-9),
-          static_cast<unsigned long long>(gs1.parks - gs0.parks),
-          static_cast<unsigned long long>(gs1.wakes_issued -
-                                          gs0.wakes_issued),
-          static_cast<unsigned long long>(gs1.wakes_spurious -
-                                          gs0.wakes_spurious));
-      o::shutdown();
-    }
-  }
-  restore_policy();
-
-  // Multi-producer fan-out: every team member is a producer — nth
-  // concurrent spawners each burst burst/nth tasks onto their own deques
-  // and taskwait. This is the cell where per-push broadcast wakes
-  // compound worst (every producer storms every parked worker), and where
-  // targeted wakes + stealing should hold the line as nth grows.
-  b::print_header(
-      "omp task fan-out on glto-abt: multi-producer x wake policy (s)");
-  for (const char* pol : kWakePolicies) {
-    c::env_set("GLTO_WAKE_POLICY", pol);
-    for (int nth : b::thread_sweep()) {
-      b::select_runtime(o::RuntimeKind::glto_abt, nth);
-      const int per_member = burst / (nth > 0 ? nth : 1);
-      const auto run_mp = [&] {
-        o::parallel([&](int, int) {
-          for (int i = 0; i < per_member; ++i) {
+  b::print_header("omp task burst on glto-abt: single producer (s)");
+  for (int nth : b::thread_sweep()) {
+    b::select_runtime(o::RuntimeKind::glto_abt, nth);
+    const auto run_v2 = [&] {
+      o::parallel([&](int, int) {
+        o::single([&] {
+          for (int i = 0; i < burst; ++i) {
             o::task([] { g_sink.fetch_add(1, std::memory_order_relaxed); });
           }
           o::taskwait();
         });
-      };
-      run_mp();  // warm the record freelists
-      const auto gs0 = gg::stats();
-      auto st = b::time_runs(reps, run_mp);
-      const auto gs1 = gg::stats();
-      char row[64];
-      std::snprintf(row, sizeof row, "task-mp-%s", pol);
-      b::print_row_json(row, nth, st, wake_kv(pol, gs0, gs1));
-      o::shutdown();
-    }
+      });
+    };
+    run_v2();  // warm the record freelists
+    const auto before = o::task_stats();
+    const auto gs0 = gg::stats();
+    auto st = b::time_runs(reps, run_v2);
+    const auto gs1 = gg::stats();
+    const auto after = o::task_stats();
+    b::print_row_json("task-v2", nth, st, wake_kv(gs0, gs1));
+    std::printf(
+        "    task_inline=+%llu task_alloc=+%llu (inline rate %.1f%%) "
+        "parks=+%llu wakes=+%llu spurious=+%llu\n",
+        static_cast<unsigned long long>(after.task_inline -
+                                        before.task_inline),
+        static_cast<unsigned long long>(after.task_alloc - before.task_alloc),
+        100.0 * static_cast<double>(after.task_inline - before.task_inline) /
+            static_cast<double>((after.task_inline - before.task_inline) +
+                                (after.task_alloc - before.task_alloc) +
+                                1e-9),
+        static_cast<unsigned long long>(gs1.parks - gs0.parks),
+        static_cast<unsigned long long>(gs1.wakes_issued - gs0.wakes_issued),
+        static_cast<unsigned long long>(gs1.wakes_spurious -
+                                        gs0.wakes_spurious));
+    o::shutdown();
   }
-  restore_policy();
+
+  // Multi-producer fan-out: every team member is a producer — nth
+  // concurrent spawners each burst burst/nth tasks onto their own deques
+  // and taskwait. Targeted wakes + stealing should hold the line as nth
+  // grows.
+  b::print_header("omp task fan-out on glto-abt: multi-producer (s)");
+  for (int nth : b::thread_sweep()) {
+    b::select_runtime(o::RuntimeKind::glto_abt, nth);
+    const int per_member = burst / (nth > 0 ? nth : 1);
+    const auto run_mp = [&] {
+      o::parallel([&](int, int) {
+        for (int i = 0; i < per_member; ++i) {
+          o::task([] { g_sink.fetch_add(1, std::memory_order_relaxed); });
+        }
+        o::taskwait();
+      });
+    };
+    run_mp();  // warm the record freelists
+    const auto gs0 = gg::stats();
+    auto st = b::time_runs(reps, run_mp);
+    const auto gs1 = gg::stats();
+    b::print_row_json("task-mp", nth, st, wake_kv(gs0, gs1));
+    o::shutdown();
+  }
 
   // Producer taskloop: the same 2048 indices as the single-producer cell,
   // but carved into grain-64 chunks that cross the runtime as ONE bulk
@@ -376,11 +309,7 @@ int main() {
     const auto gs0 = gg::stats();
     auto st = b::time_runs(reps, run_tl);
     const auto gs1 = gg::stats();
-    // This cell runs under the AMBIENT policy (CI's bench-smoke re-runs
-    // the binary with each one): label the row with what actually ran.
-    const char* ambient = glto::sched::wake_policy_name(
-        glto::sched::resolve_wake_policy(glto::sched::WakePolicy::Auto));
-    b::print_row_json("taskloop-g64", nth, st, wake_kv(ambient, gs0, gs1));
+    b::print_row_json("taskloop-g64", nth, st, wake_kv(gs0, gs1));
     o::shutdown();
   }
   // Chaos-harness overhead: the same single-producer burst with the
@@ -434,7 +363,7 @@ int main() {
     }
   }
 
-  b::print_header("omp task burst on glto-abt: boxed v1 baseline (s)");
+  b::print_header("omp task burst on glto-abt: boxed std::function (s)");
   for (int nth : b::thread_sweep()) {
     b::select_runtime(o::RuntimeKind::glto_abt, nth);
     const auto run_boxed = [&] {
@@ -444,10 +373,7 @@ int main() {
             std::function<void()> fn = [] {
               g_sink.fetch_add(1, std::memory_order_relaxed);
             };
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-            o::task(std::move(fn));  // v1 API shape, measured on purpose
-#pragma GCC diagnostic pop
+            o::task(std::move(fn));  // spills: measured on purpose
           }
           o::taskwait();
         });

@@ -6,19 +6,16 @@
 // heavier — per-thread pools serialize the heavy tasks that land on one
 // GLT_thread.
 //
-// Sweeps $ABT_DISPATCH × GLT_SHARED_QUEUES (like abl_glt_dispatch does for
-// its axis): under the locked baseline the shared pool's win is partly
-// lock-convoy relief, under work stealing it isolates pure queue-topology
-// imbalance — stealing already drains stranded backlogs, so the shared
-// pool's edge should shrink. JSONL rows via $GLTO_BENCH_JSON.
+// Sweeps GLT_SHARED_QUEUES off/on. Under the work-stealing core the
+// comparison isolates pure queue-topology imbalance: stealing already
+// drains stranded backlogs, so the shared pool's edge should be small.
+// JSONL rows via $GLTO_BENCH_JSON.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "common/env.hpp"
 
 namespace o = glto::omp;
 namespace b = glto::bench;
-namespace c = glto::common;
 
 namespace {
 
@@ -53,34 +50,23 @@ int main() {
               "(%d tasks, every 8th is 32x heavier)\n",
               ntasks);
   const int reps = b::reps(5);
-  struct Dispatch {
-    const char* env;    // ABT_DISPATCH value
-    const char* label;  // row prefix
-  };
-  const Dispatch dispatches[] = {{"locked", "locked"}, {"ws", "ws"}};
   b::print_header("imbalanced task set, glto-abt", "shared");
   // Sweep capped at 8 GLT_threads: the imbalance effect saturates there,
   // and the private-pool pathology under heavier oversubscription costs
   // minutes of cross-thread ping-pong without adding information.
-  for (const Dispatch& d : dispatches) {
-    c::env_set("ABT_DISPATCH", d.env);
-    for (int shared = 0; shared <= 1; ++shared) {
-      for (int nth_raw : b::thread_sweep()) {
-        const int nth = nth_raw > 8 ? 8 : nth_raw;
-        if (nth != nth_raw) continue;
-        glto::common::RunStats st;
-        for (int r = 0; r < reps; ++r) {
-          st.add(run_once(shared != 0, nth, ntasks));
-        }
-        const std::string row =
-            std::string(d.label) + (shared != 0 ? "-shared" : "-private");
-        b::print_row_extra(row.c_str(), nth, shared, st);
+  for (int shared = 0; shared <= 1; ++shared) {
+    for (int nth_raw : b::thread_sweep()) {
+      const int nth = nth_raw > 8 ? 8 : nth_raw;
+      if (nth != nth_raw) continue;
+      glto::common::RunStats st;
+      for (int r = 0; r < reps; ++r) {
+        st.add(run_once(shared != 0, nth, ntasks));
       }
+      b::print_row_extra(shared != 0 ? "shared" : "private", nth, shared, st);
     }
   }
-  c::env_set("ABT_DISPATCH", nullptr);
-  std::printf("expected: shared ≤ private once threads > 1 under `locked` "
-              "(imbalance + convoy neutralized, SIV-F); under `ws` the gap "
-              "narrows — stealing already rebalances private pools\n");
+  std::printf("expected: shared ≤ private once threads > 1 (imbalance "
+              "neutralized, SIV-F); stealing already rebalances private "
+              "pools, so the gap is small\n");
   return 0;
 }

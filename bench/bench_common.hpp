@@ -144,7 +144,7 @@ inline std::string metrics_row_fields() {
 /// Appends one JSONL record to $GLTO_BENCH_JSON (no-op when unset).
 /// @p extra_json, when non-empty, is spliced verbatim into the object as
 /// additional fields (callers pass pre-formatted `"key": value` pairs —
-/// the dispatch ablation attaches wake_policy and park/wake counters so
+/// the dispatch ablation attaches park/wake counters so
 /// BENCH_dispatch.json can attribute wins to the wakeup protocol).
 ///
 /// Schema v2 adds host identity (nproc + uname) and the m_* metrics

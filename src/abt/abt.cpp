@@ -63,7 +63,6 @@ struct SwitchMsg {
 
 struct Runtime {
   Config cfg;
-  bool ws = true;  ///< resolved dispatch mode (true → work stealing)
   int n = 0;
   /// The shared scheduling core (PR-1 fast path, hoisted to src/sched so
   /// qth/mth dispatch through the identical engine). The primary (main)
@@ -383,12 +382,9 @@ void init(const Config& cfg_in) {
   g_rt->cfg.num_xstreams =
       common::env_worker_count("ABT_NUM_XSTREAMS", cfg_in.num_xstreams);
   g_rt->n = g_rt->cfg.num_xstreams;
-  g_rt->ws = sched::resolve_dispatch(g_rt->cfg.dispatch, "ABT_DISPATCH") ==
-             Dispatch::WorkStealing;
   sched::WsCoreConfig core_cfg;
   core_cfg.num_workers = g_rt->n;
   core_cfg.shared_pool = g_rt->cfg.shared_pool;
-  core_cfg.work_stealing = g_rt->ws;
   g_rt->core = std::make_unique<sched::WsCore<WorkUnit*>>(core_cfg);
   g_rt->free = std::make_unique<sched::Freelist<WorkUnit>>(g_rt->n);
   g_rt->watchdog_token =
@@ -440,11 +436,6 @@ bool in_ult() {
 bool maybe_work() {
   if (g_rt == nullptr || tls.rank < 0) return false;
   return g_rt->core->maybe_work(tls.rank, tls.rank == 0);
-}
-
-Dispatch dispatch_mode() {
-  if (g_rt == nullptr) return Dispatch::Auto;
-  return g_rt->ws ? Dispatch::WorkStealing : Dispatch::Locked;
 }
 
 WorkUnit* ult_create(WorkFn fn, void* arg) {

@@ -16,9 +16,7 @@
 //    An optional single shared pool (Config::shared_pool) implements the
 //    GLT_SHARED_QUEUES behaviour of §IV-F over the same lock-free MPMC
 //    queue, so that ablation measures queue contention, not lock
-//    convoying. Config::dispatch (or $ABT_DISPATCH) can select the
-//    original mutex-guarded per-xstream FIFO pools ("locked") as a
-//    measurable baseline.
+//    convoying.
 //  * Work units are either *ULTs* (own stack, can yield/block) or
 //    *tasklets* (stackless, run to completion on the scheduler's stack —
 //    natively supported here just as in Argobots, §III-B).
@@ -30,22 +28,16 @@
 
 #include <cstdint>
 
-#include "sched/dispatch.hpp"
 #include "sched/metrics.hpp"
 
 namespace glto::abt {
 
 using WorkFn = void (*)(void*);
 
-/// Scheduling-core selection (the ablation axis, resolved from
-/// $ABT_DISPATCH when Auto). Shared with qth/mth via sched::Dispatch.
-using Dispatch = sched::Dispatch;
-
 struct Config {
   int num_xstreams = 0;      ///< 0 → $ABT_NUM_XSTREAMS or hardware threads
   bool shared_pool = false;  ///< one pool shared by all xstreams
   bool bind_threads = true;  ///< pin xstream i to core i (best-effort)
-  Dispatch dispatch = Dispatch::Auto;
 };
 
 /// Opaque handle to a ULT or tasklet.
@@ -124,9 +116,6 @@ struct Stats : sched::StatsSnapshot {
   std::uint64_t tasklets_created = 0;
   std::uint64_t yields = 0;
 };
-
-/// Dispatch mode the runtime is using (resolves Dispatch::Auto).
-[[nodiscard]] Dispatch dispatch_mode();
 
 /// Snapshot of global counters since init().
 [[nodiscard]] Stats stats();

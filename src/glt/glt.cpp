@@ -383,16 +383,6 @@ bool supports_stealing() { return g_state->cfg.impl == Impl::mth; }
 
 bool supports_native_tasklets() { return g_state->cfg.impl == Impl::abt; }
 
-bool local_spawn() {
-  // qth gained run-local plain forks with the shared work-stealing core;
-  // only its locked ablation baseline still round-robin-scatters them
-  // with no stealing to undo a bad placement.
-  if (g_state->cfg.impl == Impl::qth) {
-    return qth::dispatch_mode() == sched::Dispatch::WorkStealing;
-  }
-  return true;
-}
-
 Stats stats() {
   Stats s;
   if (g_state != nullptr) {

@@ -14,8 +14,7 @@
 // init() (programmatically or via $GLT_IMPL). All three backends dispatch
 // through the shared work-stealing core (src/sched), so $GLT_SHARED_QUEUES
 // (collapse the per-thread pools into one shared queue, neutralizing load
-// imbalance per §IV-F) and the per-backend $*_DISPATCH=locked ablation
-// baseline are honoured uniformly.
+// imbalance per §IV-F) is honoured uniformly.
 #pragma once
 
 #include <cstdint>
@@ -116,14 +115,6 @@ void yield();
 /// Backend capability: stackless tasklets without ULT emulation (abt).
 [[nodiscard]] bool supports_native_tasklets();
 
-/// Backend capability: does ult_create place the unit on the *caller's*
-/// GLT_thread (abt/qth: own deque, stealable; mth: work-first, runs
-/// inline)? False only for qth's locked ablation baseline, which
-/// round-robin-scatters plain forks across shepherds with no stealing to
-/// undo a bad placement — callers that need run-local placement
-/// (dependency wake-ups) must use ult_create_to(thread_num()) there.
-[[nodiscard]] bool local_spawn();
-
 /// Per-work-unit user pointer ("ULT-local storage"): follows the current
 /// ULT across yields, blocking joins, and (mth) steals. GLTO hangs its
 /// per-task OpenMP execution context here.
@@ -132,9 +123,9 @@ void set_self_local(void* p);
 
 /// Scheduler behaviour (Table III-style runs) lives in the shared
 /// sched::StatsSnapshot base: every backend runs the same sched::WsCore,
-/// so all base counters are populated for abt, qth, and mth alike (zero
-/// under *_DISPATCH=locked / one thread), and glt::stats() copies the
-/// whole block with one slice assignment instead of field by field.
+/// so all base counters are populated for abt, qth, and mth alike (steals
+/// stay zero with one thread), and glt::stats() copies the whole block
+/// with one slice assignment instead of field by field.
 struct Stats : sched::StatsSnapshot {
   std::uint64_t ults_created = 0;     ///< Table II "Created GLT_ults"
   std::uint64_t tasklets_created = 0;

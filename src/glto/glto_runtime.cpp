@@ -448,7 +448,7 @@ class GltoRuntime final : public omp::Runtime {
       arg->node = sub.node;
       spawn_dep_task(arg, c->in_single || c->in_master
                               ? SpawnVia::producer_rr
-                              : SpawnVia::backend);
+                              : SpawnVia::local);
       return;
     }
     if (sched::chaos_spawn_fail()) {
@@ -683,9 +683,8 @@ class GltoRuntime final : public omp::Runtime {
 
   /// How a ready depend task's ULT is placed.
   enum class SpawnVia {
-    backend,      ///< submit-time ready, worker context: backend default
+    local,        ///< the caller's own queue (worker submit or dep wake-up)
     producer_rr,  ///< submit-time ready, single/master producer: fan out
-    run_local,    ///< dependency wake-up: the completing thread's queue
   };
 
   /// Creates the ULT of a depend task whose release counter reached zero
@@ -716,12 +715,6 @@ class GltoRuntime final : public omp::Runtime {
           static_cast<int>(target %
                            static_cast<std::uint64_t>(glt::num_threads())),
           task_thunk, arg);
-    } else if (via == SpawnVia::run_local && !glt::local_spawn()) {
-      // qth round-robin-scatters plain forks and has no stealing to pull
-      // the task back, so every wake-up would bounce the dep chain to an
-      // idle shepherd and cost an OS reschedule per link under
-      // oversubscription. Pin it to the completing thread instead.
-      u = glt::ult_create_to(glt::thread_num(), task_thunk, arg);
     } else {
       u = glt::ult_create(task_thunk, arg);
     }
@@ -742,7 +735,7 @@ class GltoRuntime final : public omp::Runtime {
     }
     auto* arg = static_cast<TaskArg*>(pl);
     arg->node = node;
-    arg->rt->spawn_dep_task(arg, SpawnVia::run_local);
+    arg->rt->spawn_dep_task(arg, SpawnVia::local);
   }
 
   /// Batch wake-up: one completing predecessor released @p n successors
@@ -772,12 +765,11 @@ class GltoRuntime final : public omp::Runtime {
         if (pending < kWave) continue;
       }
       if (pending == 0) continue;
-      if (pending == 1 || !glt::local_spawn() || sched::chaos_enabled()) {
-        // qth-locked keeps the per-task pinned wake-up (see spawn_dep_task);
-        // under chaos every wake-up goes per-task so each one passes the
+      if (pending == 1 || sched::chaos_enabled()) {
+        // Under chaos every wake-up goes per-task so each one passes the
         // spawn-fail hook.
         for (std::size_t k = 0; k < pending; ++k) {
-          wave[k]->rt->spawn_dep_task(wave[k], SpawnVia::run_local);
+          wave[k]->rt->spawn_dep_task(wave[k], SpawnVia::local);
         }
         pending = 0;
         continue;

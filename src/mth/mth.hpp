@@ -2,7 +2,7 @@
 //
 // Model (mirrors MassiveThreads 0.95 as used in the paper):
 //  * A fixed set of *workers* (OS threads), each owning a Chase–Lev
-//    work-stealing deque. **Random work stealing is on by default** — the
+//    work-stealing deque. **Random work stealing is always on** — the
 //    trait behind GLTO(MTH)'s load-balancing wins (Fig. 13, ≤4 threads)
 //    and its stealing-contention losses (Figs. 10–12).
 //  * Thread creation is **work-first**: mth::create switches to the child
@@ -21,24 +21,17 @@
 
 #include <cstdint>
 
-#include "sched/dispatch.hpp"
 #include "sched/metrics.hpp"
 
 namespace glto::mth {
 
 using WorkFn = void (*)(void*);
 
-/// Scheduling-core selection (resolved from $MTH_DISPATCH when Auto).
-/// Locked mode replaces the Chase–Lev deques with mutex-guarded FIFOs and
-/// disables stealing — the ablation baseline; spawns stay work-first.
-using Dispatch = sched::Dispatch;
-
 struct Config {
   int num_workers = 0;   ///< 0 → $MTH_NUM_WORKERS or hardware threads
   bool bind_threads = true;
   bool pin_main = false; ///< GLTO §IV-G: main never migrates off worker 0
   bool shared_pool = false;  ///< one pool for all workers (§IV-F ablation)
-  Dispatch dispatch = Dispatch::Auto;
 };
 
 /// Opaque handle to a user-level thread (strand).
@@ -97,9 +90,6 @@ struct Stats : sched::StatsSnapshot {
   std::uint64_t strands_created = 0;
   std::uint64_t main_migrations = 0;  ///< times main resumed off worker 0
 };
-
-/// Dispatch mode the runtime is using (resolves Dispatch::Auto).
-[[nodiscard]] Dispatch dispatch_mode();
 
 [[nodiscard]] Stats stats();
 

@@ -268,14 +268,6 @@ void resolve_schedule(Schedule* sched, std::int64_t* chunk) {
 
 void barrier() { runtime().barrier(); }
 
-void task(std::function<void()> fn) {
-  runtime().task(TaskDesc::make(std::move(fn)), {});
-}
-
-void task(std::function<void()> fn, const TaskFlags& flags) {
-  runtime().task(TaskDesc::make(std::move(fn)), flags);
-}
-
 void task_bulk(TaskDesc* descs, std::size_t n, const TaskFlags& flags) {
   runtime().task_bulk(descs, n, flags);
 }
@@ -337,32 +329,6 @@ void sections(const Section* blocks, std::size_t count) {
     rt.single_done();
   }
   rt.barrier();
-}
-
-void sections(const std::vector<std::function<void()>>& blocks) {
-  std::vector<Section> descs;
-  descs.reserve(blocks.size());
-  for (const auto& b : blocks) descs.push_back(section_of(b));
-  sections(descs.data(), descs.size());
-}
-
-// ---- deprecated v1 loop wrappers --------------------------------------------
-
-void for_loop(std::int64_t lo, std::int64_t hi, Schedule sched,
-              std::int64_t chunk,
-              const std::function<void(std::int64_t, std::int64_t)>& body) {
-  loop(lo, hi, LoopOpts{sched, chunk, 0}, body);
-}
-
-void parallel_for(std::int64_t lo, std::int64_t hi,
-                  const std::function<void(std::int64_t)>& body) {
-  par_for(lo, hi, body);
-}
-
-void parallel_for_ranges(
-    std::int64_t lo, std::int64_t hi, Schedule sched, std::int64_t chunk,
-    const std::function<void(std::int64_t, std::int64_t)>& body) {
-  par_for(lo, hi, LoopOpts{sched, chunk, 0}, body);
 }
 
 // ---- locks ------------------------------------------------------------------

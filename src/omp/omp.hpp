@@ -15,9 +15,8 @@
 // or $OMP_RUNTIME; tear it down with omp::shutdown() before selecting
 // another.
 //
-// API v2 (zero-allocation task ABI — see docs/API.md for migration
-// notes): task/loop entry points are templates that build omp::TaskDesc
-// descriptors in place, so a task with a small trivially-copyable capture
+// API v2 (zero-allocation task ABI — see docs/API.md): task/loop entry
+// points are templates that build omp::TaskDesc descriptors in place, so a task with a small trivially-copyable capture
 // performs no heap allocation anywhere between the call site and the
 // scheduler. Highlights:
 //
@@ -27,11 +26,6 @@
 //                                           — fork + grain-controlled loop + join
 //     omp::loop(lo, hi, opts, body)         — work-shared loop inside parallel
 //     omp::sections(f1, f2, ...)            — span-style section dispatch
-//
-// The v1 std::function overloads (task, for_loop, parallel_for,
-// parallel_for_ranges, vector-based sections) remain as thin
-// [[deprecated]] wrappers; in-tree code is fully migrated and CI builds
-// with -Werror=deprecated-declarations.
 #pragma once
 
 #include <atomic>
@@ -250,16 +244,6 @@ template <class F,
 void task(F&& f, const TaskFlags& flags) {
   runtime().task(TaskDesc::make(std::forward<F>(f)), flags);
 }
-
-/// v1 compatibility: a std::function forces a heap-spilled descriptor.
-[[deprecated(
-    "omp::task takes any callable directly now; passing std::function "
-    "boxes the capture and spills the descriptor payload")]]
-void task(std::function<void()> fn);
-[[deprecated(
-    "omp::task takes any callable directly now; passing std::function "
-    "boxes the capture and spills the descriptor payload")]]
-void task(std::function<void()> fn, const TaskFlags& flags);
 
 /// Batch spawn (the bulk half of the task ABI): moves @p n prebuilt
 /// descriptors into the runtime in ONE virtual call — semantically n
@@ -610,11 +594,6 @@ void sections(Fs&&... blocks) {
   sections(arr, sizeof...(Fs));
 }
 
-/// v1 compatibility: copies nothing anymore (takes the vector by const
-/// reference), but still routes every block through a std::function.
-[[deprecated("use omp::sections(f1, f2, ...) or the Section-span overload")]]
-void sections(const std::vector<std::function<void()>>& blocks);
-
 /// #pragma omp taskgroup — runs @p body, then waits for the tasks the
 /// current task created *inside the group* (descendants complete
 /// transitively — see the runtime docs). Tasks created before the group —
@@ -629,22 +608,6 @@ void taskgroup(F&& body) {
   body();
   rt.taskgroup_end();
 }
-
-// ---- deprecated v1 loop surface -----------------------------------------
-
-[[deprecated("use omp::loop(lo, hi, {sched, grain}, body)")]]
-void for_loop(std::int64_t lo, std::int64_t hi, Schedule sched,
-              std::int64_t chunk,
-              const std::function<void(std::int64_t, std::int64_t)>& body);
-
-[[deprecated("use omp::par_for(lo, hi, body)")]]
-void parallel_for(std::int64_t lo, std::int64_t hi,
-                  const std::function<void(std::int64_t)>& body);
-
-[[deprecated("use omp::par_for(lo, hi, {sched, grain}, body)")]]
-void parallel_for_ranges(
-    std::int64_t lo, std::int64_t hi, Schedule sched, std::int64_t chunk,
-    const std::function<void(std::int64_t, std::int64_t)>& body);
 
 // ---- locks (omp_lock_t / omp_nest_lock_t) -------------------------------
 

@@ -9,7 +9,7 @@
 // trivially-copyable capture of up to kInlineBytes is stored in place and
 // the whole descriptor moves by memcpy — task creation performs **zero
 // heap allocations**. Captures that don't fit (or aren't trivially
-// copyable, e.g. a boxed std::function from the deprecated v1 overloads)
+// copyable, e.g. a std::function passed to omp::task)
 // spill to a fixed-size slab recycled through a sched::Freelist; only
 // captures larger than a slab fall back to operator new.
 //

@@ -82,7 +82,6 @@ struct SwitchMsg {
 
 struct Runtime {
   Config cfg;
-  bool ws = true;  ///< resolved dispatch mode (true → work stealing)
   int n = 0;
   /// Shared scheduling core (same engine as abt/mth). The main context
   /// travels through the core's main slot: only shepherd 0 — whose
@@ -443,12 +442,9 @@ void init(const Config& cfg_in) {
   g_rt->cfg.num_shepherds =
       common::env_worker_count("QTH_NUM_SHEPHERDS", cfg_in.num_shepherds);
   g_rt->n = g_rt->cfg.num_shepherds;
-  g_rt->ws = sched::resolve_dispatch(g_rt->cfg.dispatch, "QTH_DISPATCH") ==
-             Dispatch::WorkStealing;
   sched::WsCoreConfig core_cfg;
   core_cfg.num_workers = g_rt->n;
   core_cfg.shared_pool = g_rt->cfg.shared_pool;
-  core_cfg.work_stealing = g_rt->ws;
   g_rt->core = std::make_unique<sched::WsCore<Thread*>>(core_cfg);
   g_rt->free = std::make_unique<sched::Freelist<Thread>>(g_rt->n);
   g_rt->watchdog_token =
@@ -496,11 +492,6 @@ bool in_qthread() { return tls.current != nullptr; }
 bool maybe_work() {
   if (g_rt == nullptr || tls.rank < 0) return false;
   return g_rt->core->maybe_work(tls.rank, tls.rank == 0);
-}
-
-Dispatch dispatch_mode() {
-  if (g_rt == nullptr) return Dispatch::Auto;
-  return g_rt->ws ? Dispatch::WorkStealing : Dispatch::Locked;
 }
 
 namespace {
@@ -572,11 +563,11 @@ void fork_bulk(QthFn fn, void* const* args, aligned_t* const* rets, int n,
 }
 
 void fork(QthFn fn, void* arg, aligned_t* ret) {
-  // Work stealing: a fork from a shepherd is run-local — it lands on the
-  // caller's deque where idle shepherds steal it (load balance without
-  // the seed's blind scatter). Foreign threads, and every fork in locked
-  // mode, keep the seed's round-robin placement.
-  if (g_rt->ws && tls.rank >= 0) {
+  GLTO_CHECK_MSG(g_rt != nullptr, "qth::init has not been called");
+  // A fork from a shepherd is run-local — it lands on the caller's deque
+  // where idle shepherds steal it. Foreign threads have no deque, so
+  // their forks scatter round-robin.
+  if (tls.rank >= 0) {
     fork_impl(tls.rank, /*pinned=*/false, fn, arg, ret);
     return;
   }

@@ -6,10 +6,8 @@
 //    work-stealing core (sched::WsCore): a plain fork() from a shepherd
 //    lands on the caller's Chase–Lev deque where idle shepherds steal it,
 //    while fork_to() stays exact (owner-only fair queue, never stolen).
-//    $QTH_DISPATCH=locked restores the seed behaviour — round-robin
-//    scatter over mutex-guarded FIFOs with no stealing, the configuration
-//    whose task-migration failures the paper's Table I reports — as a
-//    measurable ablation baseline.
+//    Forks from foreign threads (no deque of their own) scatter
+//    round-robin over the shepherds.
 //  * The signature synchronization primitive is the **FEB** (full/empty
 //    bit): every aligned 64-bit word can be read/written with blocking
 //    full/empty semantics (readFF, readFE, writeEF, writeF). FEB state
@@ -28,7 +26,6 @@
 
 #include <cstdint>
 
-#include "sched/dispatch.hpp"
 #include "sched/metrics.hpp"
 
 namespace glto::qth {
@@ -38,14 +35,10 @@ using aligned_t = std::uint64_t;
 
 using QthFn = aligned_t (*)(void*);
 
-/// Scheduling-core selection (resolved from $QTH_DISPATCH when Auto).
-using Dispatch = sched::Dispatch;
-
 struct Config {
   int num_shepherds = 0;  ///< 0 → $QTH_NUM_SHEPHERDS or hardware threads
   bool bind_threads = true;
   bool shared_pool = false;  ///< one pool for all shepherds (§IV-F ablation)
-  Dispatch dispatch = Dispatch::Auto;
 };
 
 void init(const Config& cfg = {});
@@ -64,10 +57,9 @@ void finalize();
 /// right now? See abt::maybe_work for the busy-wait rationale.
 [[nodiscard]] bool maybe_work();
 
-/// Spawns a qthread. Under work stealing a fork from a shepherd lands on
-/// the caller's own deque (run-local, stealable by idle shepherds); forks
-/// from foreign threads — and every fork in locked mode — scatter
-/// round-robin as the seed did. If @p ret is non-null it is emptied now
+/// Spawns a qthread. A fork from a shepherd lands on the caller's own
+/// deque (run-local, stealable by idle shepherds); forks from foreign
+/// threads scatter round-robin. If @p ret is non-null it is emptied now
 /// and filled with fn's return value on completion, so readFF(ret) is the
 /// join operation.
 void fork(QthFn fn, void* arg, aligned_t* ret);
@@ -77,8 +69,7 @@ void fork(QthFn fn, void* arg, aligned_t* ret);
 /// path: one queue publication per victim shepherd and one targeted wake
 /// per victim, instead of n fork+wake round-trips. @p spread fans
 /// contiguous chunks across shepherds (producer fan-out); otherwise the
-/// batch rides the caller's deque and woken shepherds steal it. In locked
-/// mode the batch round-robins over the seed FIFOs like plain forks.
+/// batch rides the caller's deque and woken shepherds steal it.
 void fork_bulk(QthFn fn, void* const* args, aligned_t* const* rets, int n,
                bool spread);
 
@@ -138,15 +129,12 @@ void sinc_wait(Sinc* s);
 void sinc_destroy(Sinc* s);
 
 /// Shared-core scheduler behaviour lives in the sched::StatsSnapshot base
-/// (zero in locked mode / single shep); qthreads-specific counters here.
+/// (zero steals with a single shep); qthreads-specific counters here.
 struct Stats : sched::StatsSnapshot {
   std::uint64_t threads_created = 0;
   std::uint64_t feb_ops = 0;        ///< lock-table acquisitions
   std::uint64_t feb_blocks = 0;     ///< times a qthread suspended on a FEB
 };
-
-/// Dispatch mode the runtime is using (resolves Dispatch::Auto).
-[[nodiscard]] Dispatch dispatch_mode();
 
 [[nodiscard]] Stats stats();
 

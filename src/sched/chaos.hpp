@@ -19,9 +19,29 @@
 #include <atomic>
 #include <cstdint>
 
-#include "sched/dispatch.hpp"
-
 namespace glto::sched {
+
+/// Fault-injection plan of the chaos harness ($GLTO_CHAOS). Each
+/// probability is independent and evaluated per opportunity:
+///   spawn:p — ULT creation fails, the task degrades to inline execution
+///   alloc:p — freelist slab allocation fails, exercising the spill paths
+///   delay:p — a short delay is injected at a suspension point to widen
+///             race windows
+/// A fixed seed makes a chaos soak reproducible bit-for-bit modulo thread
+/// interleaving: each thread derives its stream from seed × thread id.
+struct ChaosConfig {
+  bool enabled = false;
+  double spawn_p = 0.0;
+  double alloc_p = 0.0;
+  double delay_p = 0.0;
+  std::uint64_t seed = 1;
+};
+
+/// Parses @p env_var as "spawn:p,alloc:p,delay:p[,seed:s]" (keys optional,
+/// any order, probabilities clamped to [0,1]). Unset or empty → disabled.
+/// Unrecognized tokens warn on stderr and are skipped — a silent typo
+/// would turn a chaos CI leg into a no-op.
+[[nodiscard]] ChaosConfig resolve_chaos(const char* env_var = "GLTO_CHAOS");
 
 namespace detail {
 extern std::atomic<bool> g_chaos_on;

@@ -29,9 +29,9 @@
 
 namespace glto::sched {
 
-/// Scheduler-behaviour counters common to every backend (zero under
-/// locked dispatch / one thread). Backend Stats structs inherit this so
-/// glt::stats() copies the block once instead of field by field.
+/// Scheduler-behaviour counters common to every backend (steals stay zero
+/// with one thread). Backend Stats structs inherit this so glt::stats()
+/// copies the block once instead of field by field.
 struct StatsSnapshot {
   std::uint64_t steals = 0;           ///< units taken from another worker
   std::uint64_t failed_steals = 0;    ///< empty / lost-race steal attempts

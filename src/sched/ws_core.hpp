@@ -2,22 +2,21 @@
 //
 // PR 1 built this machinery inside the abt backend: per-worker Chase–Lev
 // deques with randomized stealing, an owner-only "fair" FIFO side queue
-// for pinned/remote/yielded units, a locked-FIFO ablation baseline, a
-// single shared MPMC pool for the §IV-F GLT_SHARED_QUEUES study, adaptive
-// idle parking, and steal/park counters. This header hoists all of it into
-// one reusable engine so qth shepherds and mth workers dispatch through
-// the identical fast path — restoring the cross-backend comparison the
-// paper's Figs. 4–9 are about (one GLT API, three runtimes, no penalty).
+// for pinned/remote/yielded units, a single shared MPMC pool for the
+// §IV-F GLT_SHARED_QUEUES study, adaptive idle parking, and steal/park
+// counters. This header hoists all of it into one reusable engine so qth
+// shepherds and mth workers dispatch through the identical fast path —
+// restoring the cross-backend comparison the paper's Figs. 4–9 are about
+// (one GLT API, three runtimes, no penalty). The shared pool is the only
+// alternative configuration.
 //
-// Queue discipline per worker (work-stealing mode):
+// Queue discipline per worker:
 //  * `deque`  — unpinned units pushed by the owner; LIFO bottom for the
 //    owner (cache-warm, work-first), FIFO top for thieves.
 //  * `fair`   — pinned, remote-submitted, and yielded units; MPMC push,
 //    popped FIFO by the owner only, checked first every 64th pop so it
 //    cannot starve behind a spawn storm. Pinned units are never stolen —
 //    the exact-placement contract glt::ult_create_to documents.
-//  * `locked` — the seed's mutex-guarded FIFO, used exclusively when the
-//    core runs in Dispatch::Locked (the measurable baseline).
 // A separate *main slot* holds the primary context: only the worker-0
 // loop pops it, so a thief can never resume main and tear the runtime
 // down from a foreign OS thread (the §IV-G pin-the-main hazard).
@@ -26,17 +25,10 @@
 // common::Parker and advertises idleness in an atomic idle-mask before its
 // final pre-park probe, so a producer deposit either sees the idle bit
 // (and issues one targeted unpark) or the worker's probe sees the deposit
-// — no lost wakeups, and no O(team) futex broadcast per push. The
-// $GLTO_WAKE_POLICY axis keeps the old broadcast reachable:
-//  * one        — every deposit wakes at most one parked worker: the
-//                 deposit's owner for owner-only stores (fair/locked/main),
-//                 any parked thief for stealable deque pushes. Default.
-//  * threshold  — like `one`; submit_bulk engages victims proportionally
-//                 to the batch size (⌈n/kBulkWakeGrain⌉) instead of one
-//                 per unit of team width.
-//  * all        — every deposit wakes every parked worker (the pre-PR-5
-//                 thundering-herd baseline, kept for the ablation).
-// notify() and request_shutdown() keep broadcast semantics regardless.
+// — no lost wakeups, and no O(team) futex broadcast per push. Every
+// deposit wakes at most one parked worker: the deposit's owner for
+// owner-only stores (fair/main), any parked thief for stealable deque
+// pushes. notify() and request_shutdown() broadcast to every worker.
 //
 // submit_bulk deposits a whole batch with one publication per victim and
 // one targeted wake per victim: `spread` fans contiguous chunks across
@@ -61,8 +53,6 @@
 #include "common/parker.hpp"
 #include "common/rng.hpp"
 #include "sched/chase_lev.hpp"
-#include "sched/dispatch.hpp"
-#include "sched/locked_queue.hpp"
 #include "sched/overflow_queue.hpp"
 #include "sched/trace.hpp"
 #include "sched/watchdog.hpp"
@@ -71,13 +61,9 @@ namespace glto::sched {
 
 struct WsCoreConfig {
   int num_workers = 1;
-  bool shared_pool = false;   ///< one pool for all workers (§IV-F ablation)
-  bool work_stealing = true;  ///< false → Dispatch::Locked baseline
+  bool shared_pool = false;  ///< one pool for all workers (§IV-F ablation)
   std::size_t deque_capacity = 256;
   std::size_t fair_capacity = 1024;
-  /// Idle-worker wakeup policy; Auto resolves from $GLTO_WAKE_POLICY
-  /// (default wake-one).
-  WakePolicy wake_policy = WakePolicy::Auto;
 };
 
 struct WsCoreStats {
@@ -99,11 +85,6 @@ struct WsCoreStats {
 /// punishing it would make racing consumers drift toward the 2 ms cap.
 inline constexpr std::int64_t kParkMinUs = 200;
 inline constexpr std::int64_t kParkMaxUs = 2000;
-
-/// Wake-on-threshold grain: under WakePolicy::Threshold a bulk deposit of
-/// n units engages ⌈n/kBulkWakeGrain⌉ victims (clamped to the team), so a
-/// small batch does not pay one wake per worker of team width.
-inline constexpr std::size_t kBulkWakeGrain = 4;
 
 /// Per-loop acquire state: pop-fairness tick, idle backoff, main-slot
 /// alternation, and the steal-victim RNG. One per scheduler loop, owned by
@@ -133,8 +114,6 @@ class WsCore {
   explicit WsCore(const WsCoreConfig& cfg)
       : n_(cfg.num_workers > 0 ? cfg.num_workers : 1),
         shared_(cfg.shared_pool),
-        ws_(cfg.work_stealing),
-        policy_(resolve_wake_policy(cfg.wake_policy)),
         idle_words_(static_cast<std::size_t>((n_ + 63) / 64)),
         sync_(new WorkerSync[static_cast<std::size_t>(n_)]),
         counters_(static_cast<std::size_t>(n_)) {
@@ -151,12 +130,8 @@ class WsCore {
   WsCore& operator=(const WsCore&) = delete;
 
   [[nodiscard]] int num_workers() const { return n_; }
-  [[nodiscard]] bool work_stealing() const { return ws_; }
   [[nodiscard]] bool shared_pool() const { return shared_; }
-  [[nodiscard]] WakePolicy wake_policy() const { return policy_; }
-  [[nodiscard]] bool stealing_active() const {
-    return ws_ && !shared_ && n_ > 1;
-  }
+  [[nodiscard]] bool stealing_active() const { return !shared_ && n_ > 1; }
 
   // ------------------------------------------------------------- routing
 
@@ -167,10 +142,7 @@ class WsCore {
   /// with caller_rank < 0) go through the target's owner-only fair FIFO,
   /// so pinned units can never be stolen.
   void submit(int caller_rank, int target_rank, bool pinned, T item) {
-    if (!ws_) {
-      pool_for(target_rank).locked.push(item);
-      wake_owner_store(caller_rank, target_rank);
-    } else if (shared_) {
+    if (shared_) {
       pools_[0]->fair.push(item);
       wake_any(caller_rank);
     } else if (pinned || caller_rank != target_rank) {
@@ -189,10 +161,7 @@ class WsCore {
   /// suspension point (it may have changed OS threads).
   void ready(int caller_rank, int home_rank, bool pinned, bool fifo,
              T item) {
-    if (!ws_) {
-      pool_for(home_rank).locked.push(item);
-      wake_owner_store(caller_rank, home_rank);
-    } else if (shared_) {
+    if (shared_) {
       pools_[0]->fair.push(item);
       wake_any(caller_rank);
     } else if (pinned) {
@@ -208,15 +177,11 @@ class WsCore {
     }
   }
 
-  /// Owner push onto @p rank's primary store for the current mode (deque,
-  /// shared pool, or locked FIFO). For callers that manage their own
-  /// placement policy (mth publishes continuations and yields this way —
-  /// everything it schedules is stealable).
+  /// Owner push onto @p rank's deque (or the shared pool). For callers
+  /// that manage their own placement policy (mth publishes continuations
+  /// and yields this way — everything it schedules is stealable).
   void push_owner(int rank, T item) {
-    if (!ws_) {
-      pool_for(rank).locked.push(item);
-      wake_owner_store(rank, rank);
-    } else if (shared_) {
+    if (shared_) {
       pools_[0]->fair.push(item);
       wake_any(rank);
     } else {
@@ -226,24 +191,14 @@ class WsCore {
   }
 
   /// Queues the primary (main) context. Only pop_main — called by the
-  /// worker-0 loop — ever returns it, whatever the mode: a worker that
-  /// resumed main would let finalize tear the runtime down from a foreign
-  /// OS thread while the real main thread still runs on its stack.
+  /// worker-0 loop — ever returns it, even under a shared pool: a worker
+  /// that resumed main would let finalize tear the runtime down from a
+  /// foreign OS thread while the real main thread still runs on its stack.
+  /// Only worker 0 can consume the slot, so the wake targets it.
   void push_main(T item) {
-    if (ws_) {
-      main_fair_.push(item);
-    } else {
-      main_locked_.push(item);
-    }
-    // Only the worker-0 loop can consume the main slot, so its wake is
-    // always targeted — even under the broadcast policy nothing else
-    // could run this item.
-    if (policy_ == WakePolicy::All) {
-      wake_all();
-    } else {
-      publish_fence();
-      if (idle_claim(0)) unpark(0);
-    }
+    main_.push(item);
+    publish_fence();
+    if (idle_claim(0)) unpark(0);
   }
 
   /// Deposits @p n units in one call: one queue publication per victim and
@@ -254,19 +209,13 @@ class WsCore {
   /// round-robin ult_create_to path used, minus the per-unit wakes).
   /// `local` publishes everything on the caller's deque with a single
   /// releasing bottom advance and wakes idle thieves to pull the batch
-  /// apart. Victim
-  /// count per policy: one → min(team, n); threshold → ⌈n/kBulkWakeGrain⌉
-  /// clamped to the team; all → the whole team (broadcast wake).
+  /// apart. Victim count: min(team, n).
   void submit_bulk(int caller_rank, const T* items, std::size_t n,
                    BulkHint hint) {
     if (n == 0) return;
     bulk_deposits_.fetch_add(1, std::memory_order_relaxed);
     trace_emit(TraceKind::bulk_deposit, static_cast<std::uint64_t>(n),
                static_cast<std::uint32_t>(hint == BulkHint::local ? 1 : 0));
-    if (!ws_) {
-      submit_bulk_locked(caller_rank, items, n);
-      return;
-    }
     if (shared_) {
       pools_[0]->fair.push_n(items, n);
       wake_bulk_any(caller_rank, n);
@@ -295,11 +244,7 @@ class WsCore {
       } else {
         pool_for(victim).fair.push_n(items + i, take);
         publish_fence();
-        if (policy_ == WakePolicy::All) {
-          wake_all();
-        } else if (idle_claim(victim)) {
-          unpark(victim);
-        }
+        if (idle_claim(victim)) unpark(victim);
       }
       i += take;
     }
@@ -314,10 +259,6 @@ class WsCore {
   /// storm. Returns T{} when empty.
   T pop_local(int rank, unsigned* tick) {
     Pool& pool = pool_for(rank);
-    if (!ws_) {
-      if (auto v = pool.locked.pop()) return *v;
-      return T{};
-    }
     const bool fair_first = (++*tick & 63u) == 0;
     if (fair_first) {
       if (auto v = pool.fair.pop()) return *v;
@@ -334,11 +275,7 @@ class WsCore {
 
   /// Pops the main slot. Call only from the worker-0 loop.
   T pop_main() {
-    if (ws_) {
-      if (auto v = main_fair_.pop()) return *v;
-      return T{};
-    }
-    if (auto v = main_locked_.pop()) return *v;
+    if (auto v = main_.pop()) return *v;
     return T{};
   }
 
@@ -469,8 +406,8 @@ class WsCore {
 
   // ------------------------------------------------------------- control
 
-  /// Broadcast "something changed" — wakes every parked worker regardless
-  /// of policy (rare, non-deposit events).
+  /// Broadcast "something changed" — wakes every parked worker (rare,
+  /// non-deposit events).
   void notify() { broadcast_unpark(); }
 
   void request_shutdown() {
@@ -487,10 +424,8 @@ class WsCore {
   /// Racy "is there anything I could run?" probe for yield heuristics
   /// (with nothing else runnable, yielding is a no-op).
   [[nodiscard]] bool maybe_work(int rank, bool with_main) const {
-    if (with_main && ws_ && main_fair_.size_approx() > 0) return true;
-    if (with_main && !ws_ && !main_locked_.empty()) return true;
+    if (with_main && main_.size_approx() > 0) return true;
     const Pool& own = pool_for(rank);
-    if (!ws_) return !own.locked.empty();
     if (own.fair.size_approx() > 0 || !own.deque.empty_approx()) return true;
     if (!stealing_active()) return false;
     for (int v = 0; v < n_; ++v) {
@@ -533,9 +468,9 @@ class WsCore {
   /// (all queues empty, waiters elsewhere). Racy relaxed reads only: the
   /// runtime is presumed wedged, and this must not block on its locks.
   void dump_state(const char* tag) const {
-    std::fprintf(stderr, "glto: WATCHDOG: core[%s] workers=%d mode=%s%s "
+    std::fprintf(stderr, "glto: WATCHDOG: core[%s] workers=%d%s "
                          "shutdown=%d\n",
-                 tag, n_, ws_ ? "ws" : "locked", shared_ ? "+shared" : "",
+                 tag, n_, shared_ ? " shared" : "",
                  shutdown_.load(std::memory_order_relaxed) ? 1 : 0);
     std::fprintf(stderr, "glto: WATCHDOG:   idle mask:");
     for (std::size_t w = 0; w < idle_words_.size(); ++w) {
@@ -543,22 +478,17 @@ class WsCore {
                    static_cast<unsigned long long>(
                        idle_words_[w].load(std::memory_order_relaxed)));
     }
-    std::fprintf(
-        stderr, "  main slot: %llu\n",
-        static_cast<unsigned long long>(
-            ws_ ? static_cast<std::uint64_t>(main_fair_.size_approx())
-                : static_cast<std::uint64_t>(main_locked_.size())));
+    std::fprintf(stderr, "  main slot: %zu\n", main_.size_approx());
     for (int r = 0; r < n_; ++r) {
       const Pool& p = pool_for(r);
       const Counters& c = counters_[static_cast<std::size_t>(r)];
       const std::int64_t dq = p.deque.size_approx();
       std::fprintf(
           stderr,
-          "glto: WATCHDOG:   w%-3d deque=%lld fair=%zu locked=%zu "
+          "glto: WATCHDOG:   w%-3d deque=%lld fair=%zu "
           "acquired=%llu steals=%llu parks=%llu spurious=%llu "
           "parked_waiters=%d\n",
           r, static_cast<long long>(dq < 0 ? 0 : dq), p.fair.size_approx(),
-          p.locked.size(),
           static_cast<unsigned long long>(
               c.acquired.load(std::memory_order_relaxed)),
           static_cast<unsigned long long>(
@@ -585,7 +515,6 @@ class WsCore {
         : deque(deque_cap), fair(fair_cap) {}
     ChaseLevDeque<T> deque;
     OverflowQueue<T> fair;
-    LockedQueue<T> locked;
   };
 
   /// Per-worker counters, owner-written; one cache line each so the hot
@@ -674,20 +603,12 @@ class WsCore {
     sync_[static_cast<std::size_t>(rank)].parker.unpark();
   }
 
-  /// Wake for a deposit into @p store_rank's owner-only store
-  /// (fair/locked): only that owner can run the item, so the wake is
-  /// always targeted — unless the owner IS the caller (awake by
-  /// definition), in which case no wake is needed.
+  /// Wake for a deposit into @p store_rank's owner-only fair store: only
+  /// that owner can run the item, so the wake is always targeted — unless
+  /// the owner IS the caller (awake by definition), in which case no wake
+  /// is needed. Never reached under a shared pool (callers route those
+  /// deposits through wake_any).
   void wake_owner_store(int caller_rank, int store_rank) {
-    if (policy_ == WakePolicy::All) {
-      wake_all();
-      return;
-    }
-    if (shared_) {
-      // pool_for collapsed the store: any worker can pop it.
-      wake_any(caller_rank);
-      return;
-    }
     if (store_rank == caller_rank) return;
     publish_fence();
     if (idle_claim(store_rank)) unpark(store_rank);
@@ -696,10 +617,6 @@ class WsCore {
   /// Wake for a stealable deposit on @p caller_rank's own deque: the
   /// caller is awake, so engage one parked thief (if any).
   void wake_thief(int caller_rank) {
-    if (policy_ == WakePolicy::All) {
-      wake_all();
-      return;
-    }
     if (!stealing_active()) return;
     publish_fence();
     const int v = claim_any_idle(caller_rank);
@@ -708,22 +625,14 @@ class WsCore {
 
   /// Wake for a deposit any worker can consume (shared pool).
   void wake_any(int caller_rank) {
-    if (policy_ == WakePolicy::All) {
-      wake_all();
-      return;
-    }
     if (n_ == 1 && caller_rank >= 0) return;
     publish_fence();
     const int v = claim_any_idle(caller_rank);
     if (v >= 0) unpark(v);
   }
 
-  /// Bulk variant of wake_any: engage up to the policy's victim quota.
+  /// Bulk variant of wake_any: engage up to bulk_victims(n) workers.
   void wake_bulk_any(int caller_rank, std::size_t n) {
-    if (policy_ == WakePolicy::All) {
-      wake_all();
-      return;
-    }
     publish_fence();
     const std::size_t quota = bulk_victims(n);
     for (std::size_t i = 0; i < quota; ++i) {
@@ -733,25 +642,9 @@ class WsCore {
     }
   }
 
-  /// Victim/wake quota for an n-unit bulk deposit under the active policy.
+  /// Victim/wake quota for an n-unit bulk deposit.
   [[nodiscard]] std::size_t bulk_victims(std::size_t n) const {
-    const auto team = static_cast<std::size_t>(n_);
-    if (policy_ == WakePolicy::Threshold) {
-      return std::min(team, std::max<std::size_t>(
-                                1, (n + kBulkWakeGrain - 1) / kBulkWakeGrain));
-    }
-    return std::min(team, n);
-  }
-
-  /// Broadcast wake of every *advertised-idle* worker (the `all` ablation
-  /// baseline reproduces the old per-push unpark_all cost shape).
-  void wake_all() {
-    publish_fence();
-    for (;;) {
-      const int v = claim_any_idle(-1);
-      if (v < 0) return;
-      unpark(v);
-    }
+    return std::min(static_cast<std::size_t>(n_), n);
   }
 
   /// Unconditional broadcast (shutdown/notify): permits reach even workers
@@ -762,35 +655,10 @@ class WsCore {
     }
   }
 
-  /// Locked-baseline bulk: round-robin chunks over the per-worker FIFOs
-  /// (the seed's scatter shape), one wake per engaged owner.
-  void submit_bulk_locked(int caller_rank, const T* items, std::size_t n) {
-    if (shared_) {
-      pool_for(0).locked.push_n(items, n);
-      wake_bulk_any(caller_rank, n);
-      return;
-    }
-    const std::size_t k = bulk_victims(n);
-    const std::size_t chunk = (n + k - 1) / k;
-    const int start = caller_rank >= 0 ? caller_rank : 0;
-    std::size_t i = 0;
-    for (std::size_t j = 0; j < k && i < n; ++j) {
-      const int victim = static_cast<int>(
-          (static_cast<std::size_t>(start) + j) % static_cast<std::size_t>(n_));
-      const std::size_t take = std::min(chunk, n - i);
-      pool_for(victim).locked.push_n(items + i, take);
-      wake_owner_store(caller_rank, victim);
-      i += take;
-    }
-  }
-
   const int n_;
   const bool shared_;
-  const bool ws_;
-  const WakePolicy policy_;
   std::vector<std::unique_ptr<Pool>> pools_;
-  OverflowQueue<T> main_fair_{64};
-  LockedQueue<T> main_locked_;
+  OverflowQueue<T> main_{64};
   /// One idle bit per worker, set (seq_cst) before the final pre-park
   /// probe and claimed (CAS) by wakers — see acquire().
   std::vector<std::atomic<std::uint64_t>> idle_words_;

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.hpp"
 #include "mth/mth.hpp"
 
 namespace gm = glto::mth;
@@ -247,31 +246,6 @@ TEST(Mth, DeepJoinChain) {
   auto* c = gm::create(rec, &root);
   gm::join(c);
   EXPECT_EQ(sum.load(), 101);
-}
-
-TEST(Mth, LockedDispatchBaselineIsCorrectAndStealFree) {
-  namespace env = glto::common;
-  env::env_set("MTH_DISPATCH", "locked");
-  {
-    MthScope s(2);
-    EXPECT_EQ(gm::dispatch_mode(), gm::Dispatch::Locked);
-    // Spawns stay work-first; only the ready queues and stealing change.
-    std::atomic<int> count{0};
-    std::vector<gm::Strand*> ss;
-    for (int i = 0; i < 200; ++i) {
-      ss.push_back(gm::create(
-          [](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); },
-          &count));
-    }
-    for (auto* c : ss) gm::join(c);
-    EXPECT_EQ(count.load(), 200);
-    EXPECT_EQ(gm::stats().steals, 0u) << "locked baseline never steals";
-  }
-  env::env_set("MTH_DISPATCH", nullptr);
-  {
-    MthScope s(2);
-    EXPECT_EQ(gm::dispatch_mode(), gm::Dispatch::WorkStealing);
-  }
 }
 
 TEST(Mth, SharedPoolRunsAllStrands) {

@@ -116,18 +116,6 @@ TEST_P(OmpExt, SectionsSpanFormDistributesAcrossMembers) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST_P(OmpExt, SectionsDeprecatedVectorFormStillWorks) {
-  // v1 compatibility path (kept as a deprecated wrapper).
-  std::atomic<int> done{0};
-  std::vector<std::function<void()>> blocks;
-  for (int i = 0; i < 6; ++i) blocks.push_back([&] { done.fetch_add(1); });
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  o::parallel([&](int, int) { o::sections(blocks); });
-#pragma GCC diagnostic pop
-  EXPECT_EQ(done.load(), 6);
-}
-
 TEST_P(OmpExt, TaskgroupWaitsForItsTasks) {
   std::atomic<int> done{0};
   o::parallel([&](int, int) {

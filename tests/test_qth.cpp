@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.hpp"
 #include "qth/qth.hpp"
 
 namespace gq = glto::qth;
@@ -294,37 +293,6 @@ TEST(Qth, StealsRescueWorkFromBusyShepherd) {
   gq::readFF(&sink, &ret);
 }
 
-TEST(Qth, LockedDispatchRestoresSeedBaseline) {
-  namespace env = glto::common;
-  env::env_set("QTH_DISPATCH", "locked");
-  {
-    QthScope s(2);
-    EXPECT_EQ(gq::dispatch_mode(), gq::Dispatch::Locked);
-    constexpr int kN = 100;
-    static std::atomic<int> count;
-    count = 0;
-    std::vector<aligned_t> rets(kN, 0);
-    for (int i = 0; i < kN; ++i) {
-      gq::fork(
-          [](void*) -> aligned_t {
-            count.fetch_add(1);
-            return 0;
-          },
-          nullptr, &rets[static_cast<std::size_t>(i)]);
-    }
-    aligned_t sink = 0;
-    for (auto& r : rets) gq::readFF(&sink, &r);
-    EXPECT_EQ(count.load(), kN);
-    EXPECT_EQ(gq::stats().steals, 0u) << "locked mode never steals";
-  }
-  env::env_set("QTH_DISPATCH", nullptr);
-  {
-    QthScope s(2);
-    EXPECT_EQ(gq::dispatch_mode(), gq::Dispatch::WorkStealing)
-        << "work stealing is the default dispatch";
-  }
-}
-
 TEST(Qth, SharedPoolRunsEverything) {
   gq::Config cfg;
   cfg.num_shepherds = 3;
@@ -387,4 +355,17 @@ TEST(Qth, ReinitAfterFinalize) {
     gq::readFF(&got, &ret);
     EXPECT_EQ(got, 2u);
   }
+}
+
+TEST(Qth, ForkBeforeInitFailsTheInitCheck) {
+  // fork() must check that the runtime exists before it touches it: a
+  // fork from a foreign thread reads the round-robin cursor, so a missing
+  // check turns a usage error into a segfault.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        aligned_t ret = 0;
+        gq::fork([](void*) -> aligned_t { return 0; }, nullptr, &ret);
+      },
+      "qth::init has not been called");
 }

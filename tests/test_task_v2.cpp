@@ -1,6 +1,6 @@
 // Task ABI v2: omp::TaskDesc placement (inline vs spill), value-returning
 // omp::future<T> (results, exceptions, wait ordering), grain-controlled
-// par_for/loop, and the deprecated v1 compatibility wrappers — swept
+// par_for/loop, and std::function callables on the spill path — swept
 // across all five runtimes (gnu/intel pthreads and glto over abt/qth/mth;
 // the CI backend-parity job re-runs the glto rows under each $GLT_IMPL).
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -102,25 +103,22 @@ TEST_P(TaskV2, FirstprivateArgsAreDecayCopied) {
   EXPECT_EQ(sum.load(), 2 * 8 * 9 / 2);
 }
 
-TEST_P(TaskV2, DeprecatedStdFunctionOverloadStillWorks) {
+TEST_P(TaskV2, StdFunctionCallableSpills) {
   std::atomic<int> ran{0};
   const auto before = o::task_stats();
   o::parallel([&](int, int) {
     o::single([&] {
       std::function<void()> fn = [&ran] { ran.fetch_add(1); };
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
       o::task(fn);
       o::TaskFlags flags;
       o::task(fn, flags);
-#pragma GCC diagnostic pop
       o::taskwait();
     });
   });
   const auto after = o::task_stats();
   EXPECT_EQ(ran.load(), 2);
   EXPECT_GE(after.task_alloc - before.task_alloc, 2u)
-      << "boxed std::function payloads spill (the v1 cost model)";
+      << "a std::function is not trivially copyable, so its payload spills";
 }
 
 // ---- omp::future<T> ---------------------------------------------------------
@@ -367,28 +365,6 @@ TEST_P(TaskV2, LoopInsideParallelGuidedCoversRange) {
             });
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST_P(TaskV2, DeprecatedLoopWrappersStillCover) {
-  constexpr std::int64_t kN = 60;
-  std::vector<std::atomic<int>> hits(kN);
-  std::atomic<std::int64_t> sum{0};
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  o::parallel_for(0, kN, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  o::parallel_for_ranges(0, kN, o::Schedule::Dynamic, 5,
-                         [&](std::int64_t b, std::int64_t e) {
-                           sum.fetch_add(e - b);
-                         });
-  o::parallel([&](int, int) {
-    o::for_loop(0, kN, o::Schedule::Static, 0,
-                [&](std::int64_t b, std::int64_t e) { sum.fetch_add(e - b); });
-  });
-#pragma GCC diagnostic pop
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(sum.load(), 2 * kN);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -8,9 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/rng.hpp"
-#include "sched/dispatch.hpp"
 #include "sched/freelist.hpp"
 #include "sched/ws_core.hpp"
 
@@ -18,11 +16,10 @@ namespace gs = glto::sched;
 
 namespace {
 
-gs::WsCoreConfig cfg(int n, bool shared = false, bool ws = true) {
+gs::WsCoreConfig cfg(int n, bool shared = false) {
   gs::WsCoreConfig c;
   c.num_workers = n;
   c.shared_pool = shared;
-  c.work_stealing = ws;
   return c;
 }
 
@@ -87,19 +84,6 @@ TEST(WsCore, FairQueueCannotStarveBehindSpawnStorm) {
     }
   }
   EXPECT_TRUE(fair_served);
-}
-
-TEST(WsCore, LockedModeDisablesStealing) {
-  gs::WsCore<int*> core(cfg(2, /*shared=*/false, /*ws=*/false));
-  EXPECT_FALSE(core.stealing_active());
-  int items[4] = {0, 1, 2, 3};
-  for (int& i : items) core.submit(0, 0, false, &i);
-  glto::common::FastRng rng(3);
-  EXPECT_EQ(core.try_steal(1, rng), nullptr);
-  unsigned tick = 0;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(core.pop_local(0, &tick), &items[i]) << "locked pool is FIFO";
-  }
 }
 
 TEST(WsCore, SharedPoolServesEveryWorker) {
@@ -425,37 +409,6 @@ TEST(WsCore, WakeStatsStayConsistentUnderConcurrentPushParkRaces) {
       << "a spurious wake is counted at most once per park";
 }
 
-TEST(WsCore, AllPolicyBroadcastsAndOnePolicyTargets) {
-  glto::common::env_set("GLTO_WAKE_POLICY", nullptr);
-  gs::WsCoreConfig c = cfg(2);
-  c.wake_policy = gs::WakePolicy::All;
-  gs::WsCore<int*> all_core(c);
-  EXPECT_EQ(all_core.wake_policy(), gs::WakePolicy::All);
-  c.wake_policy = gs::WakePolicy::Auto;  // resolves to the default
-  gs::WsCore<int*> auto_core(c);
-  EXPECT_EQ(auto_core.wake_policy(), gs::WakePolicy::One);
-}
-
-TEST(Dispatch, ResolveWakePolicyFromEnv) {
-  namespace env = glto::common;
-  env::env_set("TEST_WAKE", "all");
-  EXPECT_EQ(gs::resolve_wake_policy(gs::WakePolicy::Auto, "TEST_WAKE"),
-            gs::WakePolicy::All);
-  env::env_set("TEST_WAKE", "Threshold");
-  EXPECT_EQ(gs::resolve_wake_policy(gs::WakePolicy::Auto, "TEST_WAKE"),
-            gs::WakePolicy::Threshold);
-  env::env_set("TEST_WAKE", "garbage");
-  EXPECT_EQ(gs::resolve_wake_policy(gs::WakePolicy::Auto, "TEST_WAKE"),
-            gs::WakePolicy::One)
-      << "unrecognized value falls back to wake-one (with a warning)";
-  env::env_set("TEST_WAKE", nullptr);
-  EXPECT_EQ(gs::resolve_wake_policy(gs::WakePolicy::Auto, "TEST_WAKE"),
-            gs::WakePolicy::One);
-  EXPECT_EQ(gs::resolve_wake_policy(gs::WakePolicy::All, "TEST_WAKE"),
-            gs::WakePolicy::All)
-      << "explicit requests bypass the environment";
-}
-
 // ------------------------------------------------------------- bulk deposit
 
 TEST(WsCore, SubmitBulkSpreadReachesEveryVictimOnce) {
@@ -521,53 +474,6 @@ TEST(WsCore, SubmitBulkLocalIsStealableAndConserved) {
   for (auto& t : thieves) t.join();
   EXPECT_EQ(sum.load(), kItems * (kItems + 1) / 2)
       << "a local bulk deposit must be fully visible to owner and thieves";
-}
-
-TEST(WsCore, SubmitBulkThresholdEngagesVictimsProportionally) {
-  glto::common::env_set("GLTO_WAKE_POLICY", nullptr);
-  gs::WsCoreConfig c = cfg(8);
-  c.wake_policy = gs::WakePolicy::Threshold;
-  gs::WsCore<std::intptr_t*> core(c);
-  // 8 units at grain 4 → 2 victims, not 8: small batches must not pay one
-  // deposit per worker of team width.
-  std::vector<std::intptr_t> backing(8);
-  std::vector<std::intptr_t*> items(8);
-  for (int i = 0; i < 8; ++i) {
-    backing[static_cast<std::size_t>(i)] = i + 1;
-    items[static_cast<std::size_t>(i)] = &backing[static_cast<std::size_t>(i)];
-  }
-  core.submit_bulk(0, items.data(), items.size(), gs::BulkHint::spread);
-  unsigned tick = 0;
-  int victims_with_work = 0;
-  std::intptr_t sum = 0;
-  for (int rank = 0; rank < 8; ++rank) {
-    bool got = false;
-    while (auto* v = core.pop_local(rank, &tick)) {
-      sum += *v;
-      got = true;
-    }
-    victims_with_work += got ? 1 : 0;
-  }
-  EXPECT_EQ(sum, 36);
-  EXPECT_EQ(victims_with_work, 2)
-      << "threshold: ⌈8/kBulkWakeGrain⌉ victims for an 8-unit batch";
-}
-
-TEST(WsCore, SubmitBulkLockedModeScattersOverSeedFifos) {
-  gs::WsCore<std::intptr_t*> core(cfg(2, /*shared=*/false, /*ws=*/false));
-  std::vector<std::intptr_t> backing(10);
-  std::vector<std::intptr_t*> items(10);
-  for (int i = 0; i < 10; ++i) {
-    backing[static_cast<std::size_t>(i)] = i + 1;
-    items[static_cast<std::size_t>(i)] = &backing[static_cast<std::size_t>(i)];
-  }
-  core.submit_bulk(0, items.data(), items.size(), gs::BulkHint::spread);
-  unsigned tick = 0;
-  std::intptr_t sum = 0;
-  for (int rank = 0; rank < 2; ++rank) {
-    while (auto* v = core.pop_local(rank, &tick)) sum += *v;
-  }
-  EXPECT_EQ(sum, 55);
 }
 
 TEST(WsCore, ChaseLevPushNPublishesAcrossGrowth) {
@@ -652,24 +558,4 @@ TEST(Freelist, RanksOutOfRangeFallBackToSlab) {
   fl.recycle(-1, r);
   EXPECT_EQ(fl.try_alloc(0), r) << "in-range refill still works";
   fl.recycle(0, r);
-}
-
-TEST(Dispatch, ResolveFromEnv) {
-  namespace env = glto::common;
-  env::env_set("TEST_DISPATCH", "locked");
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Auto, "TEST_DISPATCH"),
-            gs::Dispatch::Locked);
-  env::env_set("TEST_DISPATCH", "WS");
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Auto, "TEST_DISPATCH"),
-            gs::Dispatch::WorkStealing);
-  env::env_set("TEST_DISPATCH", "garbage");
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Auto, "TEST_DISPATCH"),
-            gs::Dispatch::WorkStealing)
-      << "unrecognized value falls back to ws (with a warning)";
-  env::env_set("TEST_DISPATCH", nullptr);
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Auto, "TEST_DISPATCH"),
-            gs::Dispatch::WorkStealing);
-  EXPECT_EQ(gs::resolve_dispatch(gs::Dispatch::Locked, "TEST_DISPATCH"),
-            gs::Dispatch::Locked)
-      << "explicit requests bypass the environment";
 }
