@@ -4,7 +4,7 @@
 # One script, one CMake switch (-DGLTO_SANITIZE=...), three sanitizers:
 #
 #   asan  — the historical sanitized subset (scripts/asan_ctest.sh is now a
-#           shim onto this): taskdep/scheduler/backend/sync suites under
+#           shim onto this): taskdep/scheduler/backend/sync/glt suites under
 #           AddressSanitizer with fiber-stack annotations.
 #   tsan  — fiber-aware ThreadSanitizer over the FULL ctest suite, once per
 #           ULT backend (GLT_IMPL=abt, qth, mth). fctx announces every
@@ -41,7 +41,7 @@ case "$san" in
 asan)
   cmake --build "$build" -j"$(nproc)" \
     --target test_taskdep test_bqp test_abt test_qth test_mth test_sched \
-    test_ws_core test_sync
+    test_ws_core test_sync test_glt
   ./"$build"/test_taskdep
   ./"$build"/test_bqp
   ./"$build"/test_sched
@@ -52,6 +52,9 @@ asan)
   # Blocking-primitive lifetimes (continuation parking, wait-node handoff,
   # latch delete-after-wait) across all three backends + foreign threads.
   ./"$build"/test_sync
+  # GLT conformance over abt/qth/mth: ULT stacks are bound on the
+  # dispatching worker, which is also where the ASan fiber bounds are set.
+  ./"$build"/test_glt
   echo "san_ctest[asan]: all sanitized suites passed"
   ;;
 

@@ -32,8 +32,9 @@ WorkUnit* const kJoinerSentinel = reinterpret_cast<WorkUnit*>(std::uintptr_t(1))
 struct WorkUnit {
   WorkFn fn = nullptr;
   void* arg = nullptr;
+  /// nullptr until the unit first runs: a queued ULT holds no stack.
   fctx::fcontext_t ctx = nullptr;
-  fctx::Stack stack;
+  fctx::Stack stack;  ///< bound by run_unit, released at Dir::Done
   /// ASan bounds of the stack this unit runs on: its pooled stack for
   /// ULTs, the process native stack for Kind::Main.
   fctx::StackRegion stack_region;
@@ -114,6 +115,8 @@ void reset_unit(WorkUnit* wu, Kind kind, int rank, bool pinned, WorkFn fn,
   wu->fn = fn;
   wu->arg = arg;
   wu->ctx = nullptr;
+  wu->stack = fctx::Stack{};
+  wu->stack_region = fctx::StackRegion{};
   wu->state.store(State::Ready, std::memory_order_relaxed);
   wu->joiner.store(nullptr, std::memory_order_relaxed);
   wu->last_rank.store(-1, std::memory_order_relaxed);
@@ -202,6 +205,18 @@ void process_directive(fctx::transfer_t t) {
   }
 }
 
+void ult_entry(fctx::transfer_t t);
+
+/// Binds a pooled stack to a ULT that has never run (ctx == nullptr). Runs
+/// on the dispatching xstream, so the stack comes from that xstream's own
+/// cache — the one process_directive releases into at Dir::Done — and only
+/// started, unfinished ULTs hold a stack; queued ones hold none.
+void bind_stack(WorkUnit* wu) {
+  wu->stack = fctx::StackPool::global().acquire();
+  wu->stack_region = wu->stack.region();
+  wu->ctx = fctx::make_fcontext(wu->stack.top, wu->stack.size, ult_entry);
+}
+
 void run_unit(WorkUnit* wu) {
   wu->last_rank.store(tls.rank, std::memory_order_relaxed);
   sched::trace_emit(sched::TraceKind::ult_switch,
@@ -223,6 +238,7 @@ void run_unit(WorkUnit* wu) {
     complete(wu);
     return;
   }
+  if (wu->ctx == nullptr) bind_stack(wu);
   wu->state.store(State::Running, std::memory_order_relaxed);
   tls.current = wu;
   SwitchMsg resume{Dir::Resume, wu, nullptr};
@@ -319,9 +335,6 @@ WorkUnit* create_unit(Kind kind, int rank, bool pinned, WorkFn fn,
   if (wu == nullptr) wu = new WorkUnit();
   reset_unit(wu, kind, rank, pinned, fn, arg);
   if (kind == Kind::Ult) {
-    wu->stack = fctx::StackPool::global().acquire();
-    wu->ctx = fctx::make_fcontext(wu->stack.top, wu->stack.size, ult_entry);
-    wu->stack_region = wu->stack.region();
     g_rt->ults_created.fetch_add(1, std::memory_order_relaxed);
   } else {
     g_rt->tasklets_created.fetch_add(1, std::memory_order_relaxed);
@@ -455,9 +468,6 @@ void ult_create_bulk(WorkFn fn, void* const* args, int n, WorkUnit** out,
     WorkUnit* wu = g_rt->free->try_alloc(tls.rank);
     if (wu == nullptr) wu = new WorkUnit();
     reset_unit(wu, Kind::Ult, home, /*pinned=*/false, fn, args[i]);
-    wu->stack = fctx::StackPool::global().acquire();
-    wu->ctx = fctx::make_fcontext(wu->stack.top, wu->stack.size, ult_entry);
-    wu->stack_region = wu->stack.region();
     out[i] = wu;
   }
   g_rt->ults_created.fetch_add(static_cast<std::uint64_t>(n),

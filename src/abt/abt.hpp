@@ -19,7 +19,9 @@
 //    convoying.
 //  * Work units are either *ULTs* (own stack, can yield/block) or
 //    *tasklets* (stackless, run to completion on the scheduler's stack —
-//    natively supported here just as in Argobots, §III-B).
+//    natively supported here just as in Argobots, §III-B). A ULT's
+//    pooled stack is bound when an xstream first runs it and released by
+//    that xstream's scheduler when it finishes: queued ULTs hold none.
 //
 // Blocking is cooperative: a ULT joining another suspends itself and is
 // re-readied by the finisher, so scheduler threads never block in the
@@ -66,7 +68,8 @@ void finalize();
 [[nodiscard]] bool maybe_work();
 
 /// Creates a ULT in the deque of the calling xstream (or the shared
-/// pool). Unpinned: an idle xstream may steal it.
+/// pool). Unpinned: an idle xstream may steal it. No stack is taken here;
+/// the xstream that first runs the ULT binds one.
 WorkUnit* ult_create(WorkFn fn, void* arg);
 
 /// Creates a ULT pinned to xstream @p rank (exact placement, never

@@ -8,6 +8,14 @@
 // threads touches no lock (a spawn-heavy xstream otherwise serializes on
 // the freelist spinlock — exactly the hot path the paper's create/join
 // microbenchmarks measure).
+//
+// The backends (abt, qth, mth) bind a ULT's stack when a scheduler first
+// dispatches it, not when it is created, and release it on that
+// scheduler's side when the ULT finishes. Acquire and release therefore
+// happen on the same worker (barring a ULT that migrates mid-run), so a
+// worker's cache feeds itself: a producer that queues a burst takes no
+// stacks, and each worker cycles a few cache-warm stacks through the
+// units it runs instead of pulling ones other workers last released.
 #pragma once
 
 #include <cstddef>

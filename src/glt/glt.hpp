@@ -59,12 +59,14 @@ struct Tasklet;
 using WorkFn = void (*)(void*);
 
 /// Creates a ULT scheduled by the caller's GLT_thread (backend-dependent
-/// placement; mth runs it immediately, work-first).
+/// placement; mth runs it immediately, work-first). The ULT's stack is
+/// bound when it first runs, on the GLT_thread that runs it: a queued ULT
+/// holds no stack.
 Ult* ult_create(WorkFn fn, void* arg);
 
 /// Creates a ULT destined for GLT_thread @p tid. Placement is exact on
 /// abt (the unit is pinned, never stolen) and qth; advisory on mth (the
-/// thief decides).
+/// thief decides). Its stack is bound at first run, as for ult_create.
 Ult* ult_create_to(int tid, WorkFn fn, void* arg);
 
 /// Creates @p n ULTs running fn(args[i]) through the backend's bulk-spawn
@@ -75,8 +77,10 @@ Ult* ult_create_to(int tid, WorkFn fn, void* arg);
 /// round-robin ult_create_to loop used to pay per-unit wakes for;
 /// otherwise the batch stays with the caller and idle GLT_threads steal
 /// it. On mth the units are *queued* (help-first) rather than run
-/// work-first, and spread is advisory as always. Handles are written to
-/// @p out[0..n).
+/// work-first, and spread is advisory as always. No unit takes a stack
+/// here: each binds one when it first runs, on the GLT_thread that runs
+/// it, so stack residency follows running units, not queued ones.
+/// Handles are written to @p out[0..n).
 void ult_create_bulk(WorkFn fn, void* const* args, int n, Ult** out,
                      bool spread);
 

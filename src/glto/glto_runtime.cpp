@@ -824,6 +824,14 @@ class GltoRuntime final : public omp::Runtime {
         bool progressed = false;
         if (!timed) {
           for (auto* u : grabbed) glt::ult_join(u);
+          // Hand the drained buffer back so the next wave reuses its
+          // capacity instead of regrowing from zero — unless a dependence
+          // wake-up pushed a handle meanwhile (then that buffer stays).
+          grabbed.clear();
+          {
+            common::SpinGuard g(c->child_lock);
+            if (c->children.empty()) c->children.swap(grabbed);
+          }
           progressed = true;
         } else {
           std::vector<glt::Ult*> keep;

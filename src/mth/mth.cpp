@@ -40,8 +40,9 @@ Strand* const kJoinerSentinel = reinterpret_cast<Strand*>(std::uintptr_t(1));
 struct Strand {
   WorkFn fn = nullptr;
   void* arg = nullptr;
+  /// nullptr until the strand first runs: a queued strand holds no stack.
   fctx::fcontext_t ctx = nullptr;
-  fctx::Stack stack;
+  fctx::Stack stack;  ///< bound at first dispatch, released at Dir::Done
   /// ASan bounds of the stack this strand runs on: its pooled stack for
   /// ULTs, the process native stack for Kind::Main.
   fctx::StackRegion stack_region;
@@ -212,6 +213,18 @@ Strand* find_next() {
 }
 
 void base_loop();
+void strand_entry(fctx::transfer_t t);
+
+/// Binds a pooled stack to a strand that has never run (ctx == nullptr).
+/// Called by whoever dispatches it — a base loop, leave()'s hand-off, or
+/// create()'s work-first jump — so the stack comes from the running
+/// worker's own cache, the one Dir::Done releases into, and only started,
+/// unfinished strands hold a stack; queued ones hold none.
+void bind_stack(Strand* s) {
+  s->stack = fctx::StackPool::global().acquire();
+  s->stack_region = s->stack.region();
+  s->ctx = fctx::make_fcontext(s->stack.top, s->stack.size, strand_entry);
+}
 
 void base_entry(fctx::transfer_t t) {
   fctx::asan_enter();
@@ -233,6 +246,7 @@ __attribute__((noinline)) void leave(SwitchMsg msg) {
     fctx::fcontext_t to;
     fctx::StackRegion to_region;
     if (Strand* next = find_next()) {
+      if (next->ctx == nullptr) bind_stack(next);
       to = next->ctx;
       to_region = next->stack_region;
       msg.resumee = next;
@@ -267,6 +281,7 @@ void base_loop() {
     if (s == nullptr) break;
     sched::trace_emit(sched::TraceKind::ult_switch,
                       reinterpret_cast<std::uintptr_t>(s));
+    if (s->ctx == nullptr) bind_stack(s);
     SwitchMsg resume{Dir::Resume, nullptr, nullptr, s};
     fctx::transfer_t t =
         fctx::jump_fcontext_to(s->ctx, &resume, s->stack_region);
@@ -318,6 +333,24 @@ void strand_entry(fctx::transfer_t t) {
   GLTO_CHECK_MSG(false, "resumed a finished strand");
 }
 
+/// A recycled (or fresh) record, reset and unbound: no stack until a
+/// worker first dispatches it.
+Strand* new_strand(WorkFn fn, void* arg) {
+  Strand* s = g_rt->free->try_alloc(tls.rank);
+  if (s == nullptr) s = new Strand();
+  s->fn = fn;
+  s->arg = arg;
+  s->ctx = nullptr;
+  s->stack = fctx::Stack{};
+  s->stack_region = fctx::StackRegion{};
+  s->done.store(false, std::memory_order_relaxed);
+  s->joiner.store(nullptr, std::memory_order_relaxed);
+  s->last_rank.store(-1, std::memory_order_relaxed);
+  s->kind = Kind::Ult;
+  s->user_local = nullptr;
+  return s;
+}
+
 /// Help-first bulk spawn: @p n strands are created *queued* — published
 /// through the scheduling core's bulk path (one deposit, targeted wakes)
 /// instead of the work-first jump mth::create performs per child. This is
@@ -329,20 +362,7 @@ void create_bulk_impl(WorkFn fn, void* const* args, int n, Strand** out) {
   GLTO_CHECK_MSG(tls.current != nullptr, "mth::create_bulk outside a strand");
   if (n <= 0) return;
   for (int i = 0; i < n; ++i) {
-    Strand* child = g_rt->free->try_alloc(tls.rank);
-    if (child == nullptr) child = new Strand();
-    child->fn = fn;
-    child->arg = args[i];
-    child->done.store(false, std::memory_order_relaxed);
-    child->joiner.store(nullptr, std::memory_order_relaxed);
-    child->last_rank.store(-1, std::memory_order_relaxed);
-    child->kind = Kind::Ult;
-    child->user_local = nullptr;
-    child->stack = fctx::StackPool::global().acquire();
-    child->ctx = fctx::make_fcontext(child->stack.top, child->stack.size,
-                                     strand_entry);
-    child->stack_region = child->stack.region();
-    out[i] = child;
+    out[i] = new_strand(fn, args[i]);
   }
   g_rt->strands_created.fetch_add(static_cast<std::uint64_t>(n),
                                   std::memory_order_relaxed);
@@ -463,19 +483,8 @@ Strand* create(WorkFn fn, void* arg) {
   GLTO_CHECK_MSG(g_rt != nullptr, "mth::init has not been called");
   Strand* parent = tls.current;
   GLTO_CHECK_MSG(parent != nullptr, "mth::create outside a strand");
-  Strand* child = g_rt->free->try_alloc(tls.rank);
-  if (child == nullptr) child = new Strand();
-  child->fn = fn;
-  child->arg = arg;
-  child->done.store(false, std::memory_order_relaxed);
-  child->joiner.store(nullptr, std::memory_order_relaxed);
-  child->last_rank.store(-1, std::memory_order_relaxed);
-  child->kind = Kind::Ult;
-  child->user_local = nullptr;
-  child->stack = fctx::StackPool::global().acquire();
-  child->ctx =
-      fctx::make_fcontext(child->stack.top, child->stack.size, strand_entry);
-  child->stack_region = child->stack.region();
+  Strand* child = new_strand(fn, arg);
+  bind_stack(child);  // work-first: dispatched right here
   g_rt->strands_created.fetch_add(1, std::memory_order_relaxed);
 
   // Work-first: run the child NOW; our continuation is published by the

@@ -17,6 +17,11 @@
 //
 // join() may migrate the calling strand across OS threads; runtime state
 // is always re-read from thread-local storage after a suspension point.
+//
+// A strand's pooled stack is bound when it is first dispatched — by
+// create()'s work-first jump, or for a queued (create_bulk) strand by the
+// worker that picks it up — and released on the receiving side of its
+// Done hand-off: queued strands hold no stack.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +63,8 @@ Strand* create(WorkFn fn, void* arg);
 /// the caller's deque + targeted wakes) instead of the work-first jump
 /// create() performs per child — a single producer fans a burst out
 /// without running each child to its first suspension inline. Handles are
-/// written to @p out[0..n); everything deposited is stealable.
+/// written to @p out[0..n); everything deposited is stealable, and each
+/// strand takes its stack only when a worker first runs it.
 void create_bulk(WorkFn fn, void* const* args, int n, Strand** out);
 
 /// Waits for @p s and destroys it. The caller may resume on a different

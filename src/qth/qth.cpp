@@ -32,8 +32,9 @@ struct Thread {
   QthFn fn = nullptr;
   void* arg = nullptr;
   aligned_t* ret = nullptr;
+  /// nullptr until the qthread first runs: a queued qthread holds no stack.
   fctx::fcontext_t ctx = nullptr;
-  fctx::Stack stack;
+  fctx::Stack stack;  ///< bound by run_thread, released at Dir::Done
   /// ASan bounds of the stack this thread runs on: its pooled stack for
   /// qthreads, the process native stack for Kind::Main.
   fctx::StackRegion stack_region;
@@ -323,9 +324,21 @@ void process_directive(fctx::transfer_t t) {
   }
 }
 
+void qthread_entry(fctx::transfer_t t);
+
+/// Binds a pooled stack to a qthread that has never run (ctx == nullptr).
+/// Runs on the dispatching shepherd, whose cache also receives the stack
+/// at Dir::Done, so only started, unfinished qthreads hold a stack.
+void bind_stack(Thread* th) {
+  th->stack = fctx::StackPool::global().acquire();
+  th->stack_region = th->stack.region();
+  th->ctx = fctx::make_fcontext(th->stack.top, th->stack.size, qthread_entry);
+}
+
 void run_thread(Thread* th) {
   sched::trace_emit(sched::TraceKind::ult_switch,
                     reinterpret_cast<std::uintptr_t>(th));
+  if (th->ctx == nullptr) bind_stack(th);
   tls.current = th;
   SwitchMsg resume{Dir::Resume, th, FebOp::ReadFF, nullptr, nullptr, 0};
   fctx::transfer_t t = fctx::jump_fcontext_to(th->ctx, &resume,
@@ -496,23 +509,30 @@ bool maybe_work() {
 
 namespace {
 
-void fork_impl(int shep, bool pinned, QthFn fn, void* arg, aligned_t* ret) {
-  GLTO_CHECK_MSG(g_rt != nullptr, "qth::init has not been called");
-  GLTO_CHECK(shep >= 0 && shep < g_rt->n);
-  if (ret != nullptr) feb_empty(ret);
+/// A recycled (or fresh) record, reset and unbound: no stack until a
+/// shepherd first runs it.
+Thread* new_thread(int shep, bool pinned, QthFn fn, void* arg,
+                   aligned_t* ret) {
   Thread* th = g_rt->free->try_alloc(tls.rank);
   if (th == nullptr) th = new Thread();
   th->fn = fn;
   th->arg = arg;
   th->ret = ret;
   th->ctx = nullptr;
+  th->stack = fctx::Stack{};
+  th->stack_region = fctx::StackRegion{};
   th->home_shep = shep;
   th->kind = Kind::Qthread;
   th->pinned = pinned;
   th->user_local = nullptr;
-  th->stack = fctx::StackPool::global().acquire();
-  th->ctx = fctx::make_fcontext(th->stack.top, th->stack.size, qthread_entry);
-  th->stack_region = th->stack.region();
+  return th;
+}
+
+void fork_impl(int shep, bool pinned, QthFn fn, void* arg, aligned_t* ret) {
+  GLTO_CHECK_MSG(g_rt != nullptr, "qth::init has not been called");
+  GLTO_CHECK(shep >= 0 && shep < g_rt->n);
+  if (ret != nullptr) feb_empty(ret);
+  Thread* th = new_thread(shep, pinned, fn, arg, ret);
   g_rt->threads_created.fetch_add(1, std::memory_order_relaxed);
   g_rt->core->submit(tls.rank, shep, pinned, th);
 }
@@ -537,21 +557,8 @@ void fork_bulk(QthFn fn, void* const* args, aligned_t* const* rets, int n,
     for (int i = 0; i < take; ++i) {
       aligned_t* ret = rets != nullptr ? rets[done + i] : nullptr;
       if (ret != nullptr) feb_empty(ret);
-      Thread* th = g_rt->free->try_alloc(tls.rank);
-      if (th == nullptr) th = new Thread();
-      th->fn = fn;
-      th->arg = args[done + i];
-      th->ret = ret;
-      th->ctx = nullptr;
-      th->home_shep = tls.rank >= 0 ? tls.rank : 0;
-      th->kind = Kind::Qthread;
-      th->pinned = false;
-      th->user_local = nullptr;
-      th->stack = fctx::StackPool::global().acquire();
-      th->ctx =
-          fctx::make_fcontext(th->stack.top, th->stack.size, qthread_entry);
-      th->stack_region = th->stack.region();
-      wave[i] = th;
+      wave[i] = new_thread(tls.rank >= 0 ? tls.rank : 0, /*pinned=*/false,
+                           fn, args[done + i], ret);
     }
     g_rt->threads_created.fetch_add(static_cast<std::uint64_t>(take),
                                     std::memory_order_relaxed);

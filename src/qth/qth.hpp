@@ -21,7 +21,9 @@
 //
 // Thread handles: fork() returns immediately; completion is observed via
 // the caller-owned return word (readFF). The runtime frees thread records
-// automatically after completion.
+// automatically after completion. A qthread's pooled stack is bound when a
+// shepherd first runs it and released by that shepherd's scheduler when
+// it finishes: queued qthreads hold none.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "abt/abt.hpp"
+#include "fctx/stack_pool.hpp"
 
 namespace ga = glto::abt;
 
@@ -395,15 +396,27 @@ TEST(AbtRecycle, WorkUnitRecordsAreReused) {
 TEST(AbtRecycle, RecycledUnitsStartClean) {
   AbtScope s(2);
   // A recycled record must not leak joiner/self_local state from its
-  // previous life (stale joiners would wake the wrong ULT).
+  // previous life (stale joiners would wake the wrong ULT), nor a stack:
+  // a record starts unbound and takes a stack only when it first runs.
+  const auto& pool = glto::fctx::StackPool::global();
+  auto body = [](void* p) {
+    ga::set_self_local(p);  // dirty the slot on purpose
+    static_cast<std::atomic<int>*>(p)->fetch_add(1);
+  };
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> x{0};
-    auto* u = ga::ult_create(
-        [](void* p) {
-          ga::set_self_local(p);  // dirty the slot on purpose
-          static_cast<std::atomic<int>*>(p)->fetch_add(1);
-        },
-        &x);
+    const bool pinned = round % 2 != 0;
+    const auto hits = pool.cache_hits();
+    const auto mapped = pool.total_mapped();
+    auto* u = pinned ? ga::ult_create_on(0, body, &x) : ga::ult_create(body, &x);
+    if (pinned) {
+      // Pinned to this primary ULT's own xstream, which has not yielded:
+      // the unit cannot have run yet, so any stack acquire here (a hit on
+      // the stack the previous pinned round released into this cache, or
+      // a fresh mapping) would be a stack bound before first dispatch.
+      EXPECT_EQ(pool.cache_hits(), hits) << "round " << round;
+      EXPECT_EQ(pool.total_mapped(), mapped) << "round " << round;
+    }
     ga::join(u);
     ASSERT_EQ(x.load(), 1) << "round " << round;
   }

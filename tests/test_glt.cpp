@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "fctx/stack_pool.hpp"
 #include "glt/glt.hpp"
 
 namespace gg = glto::glt;
@@ -274,6 +275,50 @@ TEST_P(GltBackend, FanOutFanInPattern) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, GltBackend,
+                         ::testing::Values(gg::Impl::abt, gg::Impl::qth,
+                                           gg::Impl::mth),
+                         [](const ::testing::TestParamInfo<gg::Impl>& info) {
+                           return gg::impl_name(info.param);
+                         });
+
+// Stack residency follows running ULTs, not queued ones: a ULT binds its
+// pooled stack when it first runs, on the GLT_thread that runs it, and
+// releases it there when it finishes. One GLT_thread queues more no-op
+// ULTs than the pool has ever mapped (help-first on every backend, mth
+// included); none may take a stack while queued, and draining them cycles
+// through the runner's cache instead of mapping a stack per unit.
+class GltStackResidency : public ::testing::TestWithParam<gg::Impl> {
+ protected:
+  void SetUp() override {
+    gg::Config cfg;
+    cfg.impl = GetParam();
+    cfg.num_threads = 1;
+    cfg.bind_threads = false;
+    gg::init(cfg);
+  }
+  void TearDown() override { gg::finalize(); }
+};
+
+TEST_P(GltStackResidency, QueuedUltsHoldNoStack) {
+  const auto& pool = glto::fctx::StackPool::global();
+  const std::uint64_t m0 = pool.total_mapped();
+  const int k = static_cast<int>(m0) + 1024;
+  std::atomic<int> count{0};
+  std::vector<void*> args(static_cast<std::size_t>(k), &count);
+  std::vector<gg::Ult*> us(static_cast<std::size_t>(k));
+  gg::ult_create_bulk(
+      [](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); },
+      args.data(), k, us.data(), /*spread=*/false);
+  EXPECT_EQ(pool.total_mapped(), m0)
+      << "queued ULTs must not hold stacks before they first run";
+  for (auto* u : us) gg::ult_join(u);
+  EXPECT_EQ(count.load(), k);
+  // At most one stack for the running ULT plus the primary scheduler's
+  // (created lazily at main's first suspension).
+  EXPECT_LE(pool.total_mapped(), m0 + 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, GltStackResidency,
                          ::testing::Values(gg::Impl::abt, gg::Impl::qth,
                                            gg::Impl::mth),
                          [](const ::testing::TestParamInfo<gg::Impl>& info) {

@@ -305,7 +305,9 @@ TEST(WsCore, WakeOneTargetedWakeReachesParkedOwner) {
     for (;;) {
       auto* v = core.acquire(1, st, /*with_main=*/false);
       if (v == nullptr) break;  // shutdown + drained
-      sum.fetch_add(*v, std::memory_order_relaxed);
+      // release: the producer's acquire load of `sum` must order this
+      // read of *v before its backing.push_back() reallocation below.
+      sum.fetch_add(*v, std::memory_order_release);
     }
   });
   std::vector<std::intptr_t> backing(kItems);
