@@ -127,17 +127,17 @@ void trsv_bwd(const double* A, double* y, int n, int t, int i) {
 
 // ---- mode-dispatched scheduling -----------------------------------------
 
-/// Reusable solver workspace: the KKT tile set and every per-iteration
-/// scratch vector the IPM rebuilds. Hoisted out of solve() so repeated
-/// solves (the abl_taskdep sweeps, latency-benchmark loops) stop paying a
-/// fresh n²+O(n) allocation train per call — after the first iteration
-/// the resize calls are no-ops and the IPM touches no allocator. Every
-/// buffer is fully rewritten where it is read (K's lower triangle + the
-/// scratch vectors), so reuse cannot change the KKT residual. This is the
-/// first step toward the Sherman–Morrison–Woodbury solve (ROADMAP), whose
-/// low-rank factors will live here too.
+/// Reusable solver workspace: the per-iteration buffers the IPM rebuilds.
+/// The sequential solve keeps the Sherman–Morrison–Woodbury factors here
+/// (W = D⁻¹V, n×rank; C = I + VᵀW, rank×rank; the rank-vector u); the
+/// task-scheduled modes keep the dense KKT tile set K (n×n). Hoisted out
+/// of solve() so repeated solves (qpserver requests, the abl_taskdep
+/// sweeps) stop paying an allocation train per call — after the first
+/// iteration the resize calls are no-ops and the IPM touches no
+/// allocator. Every buffer is fully rewritten where it is read, so reuse
+/// cannot change the KKT residual.
 struct Arena {
-  std::vector<double> K, rhs, dx, hx, sr, dzl, dzu;
+  std::vector<double> K, W, C, u, dg, rhs, dx, hx, sr, dzl, dzu;
 };
 
 /// Arenas are leased from a process-wide pool for the duration of one
@@ -159,15 +159,15 @@ class ArenaLease {
     }
   }
   ~ArenaLease() {
-    // Bound the pool's resident memory: an arena whose KKT buffer grew
-    // past the cap is freed instead of pooled (one giant solve must not
-    // pin O(n²) for the process lifetime), and pool depth is capped so a
-    // burst of concurrent solves cannot park its peak width forever.
-    constexpr std::size_t kMaxPooledKDoubles = 512 * 512;  // 2 MiB
+    // Bound the pool's resident memory: an arena whose factor buffers
+    // grew past the cap is freed instead of pooled (one giant solve must
+    // not pin O(n²) for the process lifetime), and pool depth is capped so
+    // a burst of concurrent solves cannot park its peak width forever.
+    constexpr std::size_t kMaxPooledDoubles = 512 * 512;  // 2 MiB
     constexpr std::size_t kMaxPooledArenas = 8;
     common::SpinGuard g(pool_lock());
     auto& free = pool();
-    if (arena_->K.capacity() <= kMaxPooledKDoubles &&
+    if (arena_->K.capacity() + arena_->W.capacity() <= kMaxPooledDoubles &&
         free.size() < kMaxPooledArenas) {
       free.push_back(std::move(arena_));
     }
@@ -193,11 +193,9 @@ class ArenaLease {
 /// now, taskdep attaches the depend clauses, taskwait strips them (the
 /// fences order everything). The kernels are small trivially-copyable
 /// captures, so the v2 descriptor path spawns them without a single heap
-/// allocation (clauses stay inline in DepList as well). The Sched also
-/// owns the solver's reusable KKT workspace for the duration of a solve.
+/// allocation (clauses stay inline in DepList as well).
 struct Sched {
   Mode mode;
-  Arena* arena = nullptr;  ///< KKT tile-buffer workspace (see Arena)
 
   template <class F>
   void run(F&& fn, std::initializer_list<taskdep::Dep> deps) const {
@@ -277,8 +275,8 @@ void emit_factor_solve(double* A, double* y, int n, int t, const Sched& s) {
   }
 }
 
-/// Factor+solve under an existing Sched (solve() reuses its arena-owning
-/// Sched across IPM iterations; the public wrapper builds a transient one).
+/// Factor+solve under an existing Sched (solve() reuses one Sched across
+/// IPM iterations; the public wrapper builds a transient one).
 void factor_solve_with(const Sched& s, double* A, double* x, const double* b,
                        int n, int tile_sz) {
   GLTO_CHECK_MSG(n > 0 && tile_sz >= 8 && n % tile_sz == 0,
@@ -371,6 +369,44 @@ void apply_h(const Problem& p, const std::vector<double>& x,
   }
 }
 
+/// a.dx := (diag(a.dg) + V·Vᵀ)⁻¹·a.rhs by Sherman–Morrison–Woodbury:
+/// with w = D⁻¹b, W = D⁻¹V and C = I + Vᵀ·W (rank×rank SPD),
+/// dx = w − W·C⁻¹·(Vᵀw). O(n·rank²) per step instead of the dense
+/// factor's O(n³); C's Cholesky reuses potrf, definiteness check included.
+void smw_solve(const Problem& p, Arena& a) {
+  const int n = p.n, r = p.rank;
+  const auto ur = static_cast<std::size_t>(r);
+  double* W = a.W.data();
+  double* C = a.C.data();
+  double* u = a.u.data();
+  std::fill(a.C.begin(), a.C.end(), 0.0);
+  std::fill(a.u.begin(), a.u.end(), 0.0);
+  for (int i = 0; i < n; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
+    const double inv = 1.0 / a.dg[ii];
+    const double* v = p.V.data() + ii * ur;
+    double* w = W + ii * ur;
+    a.dx[ii] = a.rhs[ii] * inv;
+    for (int q = 0; q < r; ++q) w[q] = v[q] * inv;
+    // C (lower triangle) += vᵢ·wᵢᵀ and u += vᵢ·(D⁻¹b)ᵢ.
+    for (int q = 0; q < r; ++q) {
+      u[q] += v[q] * a.dx[ii];
+      for (int s = 0; s <= q; ++s) C[q * r + s] += v[q] * w[s];
+    }
+  }
+  for (int q = 0; q < r; ++q) C[q * r + q] += 1.0;
+  potrf(C, r, r, 0);
+  trsv_fwd(C, u, r, r, 0);
+  trsv_bwd(C, u, r, r, 0);
+  for (int i = 0; i < n; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
+    const double* w = W + ii * ur;
+    double v = 0.0;
+    for (int q = 0; q < r; ++q) v += w[q] * u[q];
+    a.dx[ii] -= v;
+  }
+}
+
 }  // namespace
 
 double kkt_residual(const Problem& p, const std::vector<double>& x,
@@ -405,20 +441,30 @@ Result solve(const Problem& p, Mode mode, int max_iters, double tol,
     sl[ii] = x[ii] - p.lb[ii];
     su[ii] = p.ub[ii] - x[ii];
   }
-  // Per-iteration scratch comes from the Sched-owned arena (leased for
-  // this solve): warm resizes are no-ops, so iterations 2..k — and later
-  // solves reusing the pooled arena — allocate nothing. Only the
-  // primal/dual state above stays local; it is moved into the Result.
+  // Per-iteration scratch comes from an arena leased for this solve: warm
+  // resizes are no-ops, so iterations 2..k — and later solves reusing the
+  // pooled arena — allocate nothing. Only the primal/dual state above
+  // stays local; it is moved into the Result. The sequential step is the
+  // O(n·rank²) SMW solve; the task modes keep the dense tiled-Cholesky
+  // DAG, so only they size K.
   const ArenaLease lease;
-  const Sched sched{mode, lease.get()};
-  std::vector<double>& K = sched.arena->K;
-  std::vector<double>& rhs = sched.arena->rhs;
-  std::vector<double>& dx = sched.arena->dx;
-  std::vector<double>& hx = sched.arena->hx;
-  std::vector<double>& sr = sched.arena->sr;
-  std::vector<double>& dzl = sched.arena->dzl;
-  std::vector<double>& dzu = sched.arena->dzu;
-  K.resize(un * un);
+  Arena& a = *lease.get();
+  std::vector<double>& K = a.K;
+  std::vector<double>& dg = a.dg;
+  std::vector<double>& rhs = a.rhs;
+  std::vector<double>& dx = a.dx;
+  std::vector<double>& hx = a.hx;
+  std::vector<double>& sr = a.sr;
+  std::vector<double>& dzl = a.dzl;
+  std::vector<double>& dzu = a.dzu;
+  if (mode == Mode::sequential) {
+    a.W.resize(un * static_cast<std::size_t>(r));
+    a.C.resize(static_cast<std::size_t>(r) * r);
+    a.u.resize(static_cast<std::size_t>(r));
+  } else {
+    K.resize(un * un);
+  }
+  dg.resize(un);
   rhs.resize(un);
   dx.resize(un);
   hx.resize(un);
@@ -453,26 +499,32 @@ Result solve(const Problem& p, Mode mode, int max_iters, double tol,
     }
     const double smu = 0.1 * mu;  // fixed centering
 
-    // K = V·Vᵀ + diag(d + zl/sl + zu/su); lower triangle only.
+    // KKT step (diag(dg) + V·Vᵀ)·dx = rhs, dg = d + zl/sl + zu/su.
     for (int i = 0; i < n; ++i) {
       const auto ii = static_cast<std::size_t>(i);
-      for (int j = 0; j <= i; ++j) {
-        double v = 0.0;
-        for (int q = 0; q < r; ++q) {
-          v += p.V[ii * static_cast<std::size_t>(r) + q] *
-               p.V[static_cast<std::size_t>(j) * r + q];
-        }
-        K[ii * un + static_cast<std::size_t>(j)] = v;
-      }
-      K[ii * un + ii] += p.d[ii] + zl[ii] / sl[ii] + zu[ii] / su[ii];
-    }
-    for (int i = 0; i < n; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
+      dg[ii] = p.d[ii] + zl[ii] / sl[ii] + zu[ii] / su[ii];
       rhs[ii] = -rhs[ii] + (smu - sl[ii] * zl[ii]) / sl[ii] -
                 (smu - su[ii] * zu[ii]) / su[ii];
     }
-
-    factor_solve_with(sched, K.data(), dx.data(), rhs.data(), n, p.tile);
+    if (mode == Mode::sequential) {
+      smw_solve(p, a);
+    } else {
+      // K = V·Vᵀ + diag(dg); lower triangle only.
+      for (int i = 0; i < n; ++i) {
+        const auto ii = static_cast<std::size_t>(i);
+        for (int j = 0; j <= i; ++j) {
+          double v = 0.0;
+          for (int q = 0; q < r; ++q) {
+            v += p.V[ii * static_cast<std::size_t>(r) + q] *
+                 p.V[static_cast<std::size_t>(j) * r + q];
+          }
+          K[ii * un + static_cast<std::size_t>(j)] = v;
+        }
+        K[ii * un + ii] += dg[ii];
+      }
+      factor_solve_with(Sched{mode}, K.data(), dx.data(), rhs.data(), n,
+                        p.tile);
+    }
 
     double alpha = 1.0;
     for (int i = 0; i < n; ++i) {

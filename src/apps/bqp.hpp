@@ -12,17 +12,25 @@
 //     subject to lb ≤ x ≤ ub                             diagonal-plus-low-rank)
 //
 // with a primal-dual IPM whose per-iteration KKT system
-// (H + diag(z_l/s_l + z_u/s_u)) dx = r is factorized and solved by a
-// blocked Cholesky, scheduled three ways:
+// (D + V Vᵀ) dx = r, D = diag(d + z_l/s_l + z_u/s_u), is solved two ways:
 //
-//   sequential — plain loops, no runtime (the correctness reference)
-//   taskdep    — every tile kernel is a `depend` task; factor and both
-//                triangular sweeps form ONE DAG with no barrier anywhere
-//   taskwait   — the same kernels fenced by taskwait after each step of
-//                each sweep (what the facade forced before the dep engine)
+//   sequential — Sherman–Morrison–Woodbury, plain loops, no runtime:
+//                dx = D⁻¹r − W·(I + VᵀW)⁻¹·Vᵀ D⁻¹r with W = D⁻¹V, so a
+//                step costs O(n·rank²) and factors only a rank×rank
+//                matrix. The correctness reference, and the solve every
+//                qpserver request runs.
+//   taskdep    — the dense KKT matrix, factorized and solved by a blocked
+//                Cholesky in which every tile kernel is a `depend` task;
+//                factor and both triangular sweeps form ONE DAG with no
+//                barrier anywhere
+//   taskwait   — the same tile kernels fenced by taskwait after each step
+//                of each sweep (what the facade forced before the dep
+//                engine)
 //
-// The taskdep/taskwait modes require a selected omp runtime and create
-// their tasks from a single/producer region, the paper's §IV-D pattern.
+// All three take the same IPM iterates up to rounding, so their iteration
+// counts agree. The taskdep/taskwait modes require a selected omp runtime
+// and create their tasks from a single/producer region, the paper's §IV-D
+// pattern.
 #pragma once
 
 #include <cstdint>

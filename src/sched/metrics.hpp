@@ -37,7 +37,7 @@ struct StatsSnapshot {
   std::uint64_t failed_steals = 0;    ///< empty / lost-race steal attempts
   std::uint64_t stack_cache_hits = 0; ///< ULT stacks served lock-free
   std::uint64_t parks = 0;            ///< idle parks (adaptive 200µs–2ms)
-  std::uint64_t parked_us = 0;        ///< total requested park time, µs
+  std::uint64_t parked_us = 0;        ///< total time actually parked, µs
   std::uint64_t wakes_issued = 0;     ///< targeted unparks sent to workers
   std::uint64_t wakes_spurious = 0;   ///< parks woken but found no work
   std::uint64_t bulk_deposits = 0;    ///< submit_bulk batches published

@@ -52,6 +52,7 @@
 #include "common/cacheline.hpp"
 #include "common/parker.hpp"
 #include "common/rng.hpp"
+#include "common/time.hpp"
 #include "sched/chase_lev.hpp"
 #include "sched/overflow_queue.hpp"
 #include "sched/trace.hpp"
@@ -70,7 +71,7 @@ struct WsCoreStats {
   std::uint64_t steals = 0;          ///< units taken from another worker
   std::uint64_t failed_steals = 0;   ///< empty / lost-race steal attempts
   std::uint64_t parks = 0;           ///< idle parks (adaptive 200µs–2ms)
-  std::uint64_t parked_us = 0;       ///< total requested park time, µs
+  std::uint64_t parked_us = 0;       ///< total time actually parked, µs
   std::uint64_t wakes_issued = 0;    ///< targeted unparks sent to workers
   std::uint64_t wakes_spurious = 0;  ///< parks woken but found no work
   std::uint64_t bulk_deposits = 0;   ///< submit_bulk batches published
@@ -385,12 +386,16 @@ class WsCore {
         st.advertised = true;
       } else {
         c.parks.fetch_add(1, std::memory_order_relaxed);
-        c.parked_us.fetch_add(static_cast<std::uint64_t>(st.park_us),
-                              std::memory_order_relaxed);
         trace_emit(TraceKind::park, static_cast<std::uint64_t>(rank),
                    static_cast<std::uint32_t>(st.park_us));
+        const std::int64_t parked_at = common::now_ns();
         const bool woken = sync_[static_cast<std::size_t>(rank)]
                                .parker.park_for_us(st.park_us);
+        // Time actually parked (a wake cuts the timeout short), truncated
+        // so the per-worker sum never exceeds wall time.
+        c.parked_us.fetch_add(
+            static_cast<std::uint64_t>((common::now_ns() - parked_at) / 1000),
+            std::memory_order_relaxed);
         idle_clear(rank);  // idempotent: the waker may have claimed it
         st.advertised = false;
         trace_emit(TraceKind::unpark, static_cast<std::uint64_t>(rank),

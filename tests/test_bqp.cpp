@@ -1,10 +1,14 @@
-// Blocked box-QP IPM (src/apps/bqp): sequential reference converges to
-// KKT < 1e-8, the blocked-Cholesky micro-driver is exact, and the
-// depend-task and taskwait-barrier schedules reproduce the sequential
-// result across all five runtimes.
+// Blocked box-QP IPM (src/apps/bqp): the sequential (Sherman–Morrison–
+// Woodbury) reference converges to KKT < 1e-8, the blocked-Cholesky
+// micro-driver is exact, the depend-task and taskwait-barrier schedules
+// reproduce the sequential result across all five runtimes, and a seeded
+// sweep cross-checks the two KKT algorithms (SMW vs dense tiled Cholesky)
+// iteration for iteration.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "apps/bqp.hpp"
@@ -88,6 +92,38 @@ TEST_P(BqpSched, DagScheduledSolveMatchesSequential) {
   EXPECT_LT(bar.kkt, 1e-8);
   EXPECT_LT(max_abs_diff(bar.x, ref.x), 1e-6);
 }
+
+// Cross-algorithm oracle: Mode::sequential steps with SMW, Mode::taskwait
+// with the dense tiled Cholesky. Same IPM, same iterates up to rounding,
+// so iteration counts must agree exactly on every instance — the ctest
+// form of perfbench's bqp-dag iteration-equality gate. One runtime is
+// enough: the schedules are already cross-checked above.
+class BqpOracle : public BqpSched {};
+
+TEST_P(BqpOracle, SmwMatchesDenseCholeskyOnSeedSweep) {
+  struct Shape {
+    int n, tile, rank, count;
+  };
+  for (const Shape sh : {Shape{48, 16, 4, 64}, Shape{256, 16, 16, 4}}) {
+    for (int seed = 0; seed < sh.count; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "shape " << sh.n << "/" << sh.tile
+                                        << "/" << sh.rank << " seed " << seed);
+      const q::Problem p = q::make_problem(
+          sh.n, sh.tile, sh.rank, 0x5111 + static_cast<std::uint64_t>(seed));
+      const q::Result smw = q::solve(p, q::Mode::sequential);
+      const q::Result dense = q::solve(p, q::Mode::taskwait);
+      EXPECT_EQ(smw.converged, dense.converged);
+      EXPECT_EQ(smw.iters, dense.iters);
+      EXPECT_LE(max_abs_diff(smw.x, dense.x), 1e-9);
+      EXPECT_LE(smw.kkt, 1e-8);
+      EXPECT_LE(dense.kkt, 1e-8);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(GltoAbt, BqpOracle,
+                         ::testing::Values(o::RuntimeKind::glto_abt),
+                         [](const auto&) { return std::string("glto_abt"); });
 
 INSTANTIATE_TEST_SUITE_P(
     AllRuntimes, BqpSched,

@@ -411,6 +411,54 @@ TEST(WsCore, WakeStatsStayConsistentUnderConcurrentPushParkRaces) {
       << "a spurious wake is counted at most once per park";
 }
 
+TEST(WsCore, ParkedTimeNeverExceedsWallTime) {
+  // parked_us must be time actually parked. One worker idles long enough
+  // to grow its park timeout, then sparse deposits land mid-park, cutting
+  // parks short: each deposit waits until the worker has started parking
+  // again, then 700 µs, by which time its 200 and 400 µs parks have run
+  // out and an 800 µs one is in progress. Counting the requested timeout
+  // instead would credit that cut-short park in full and overshoot wall
+  // time ~2×.
+  gs::WsCore<std::intptr_t*> core(cfg(1));
+  constexpr int kItems = 40;
+  std::vector<std::intptr_t> backing(kItems, 1);
+  std::atomic<int> taken{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto deadline = t0 + std::chrono::seconds(30);
+  std::thread worker([&] {
+    gs::AcquireState st(11);
+    while (core.acquire(0, st, /*with_main=*/false) != nullptr) {
+      taken.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  for (int i = 0; i < kItems; ++i) {
+    // On a loaded host the worker may need several scheduler quanta to
+    // get from its last item back to a park; wait for it.
+    const std::uint64_t parks = core.stats().parks;
+    while (i > 0 && core.stats().parks == parks) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::yield();
+    }
+    if (i > 0) std::this_thread::sleep_for(std::chrono::microseconds(700));
+    core.submit(/*caller=*/-1, /*target=*/0, /*pinned=*/true,
+                &backing[static_cast<std::size_t>(i)]);
+  }
+  while (taken.load(std::memory_order_relaxed) != kItems) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::yield();
+  }
+  core.request_shutdown();
+  worker.join();
+  const auto elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  const auto st = core.stats();
+  EXPECT_GT(st.parks, 0u);
+  EXPECT_LE(st.parked_us, static_cast<std::uint64_t>(elapsed_us))
+      << st.parks << " parks over " << elapsed_us << " µs of wall time";
+}
+
 // ------------------------------------------------------------- bulk deposit
 
 TEST(WsCore, SubmitBulkSpreadReachesEveryVictimOnce) {
