@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Concurrency lint gate for the GLTO runtime (CI: fails the build on hit).
 
-Four rules, all scoped to runtime code under src/ (tests and examples may
+Five rules, all scoped to runtime code under src/ (tests and examples may
 stage races with raw sleeps; the runtime itself must not):
 
   naked-sleep      std::this_thread::sleep_for / sleep_until / usleep /
@@ -26,12 +26,20 @@ stage races with raw sleeps; the runtime itself must not):
                    wastes the carrier thread. Retry/backoff delays must
                    call sched::backoff_until / sched::backoff_for_us.
 
-  raw-pthread      pthread_mutex_* outside the backend directories
-                   (src/abt, src/qth, src/mth). Portable runtime layers
-                   must use sched::Mutex / common::SpinLock /
+  raw-pthread      pthread_mutex_* anywhere in the runtime. Runtime
+                   code must use sched::Mutex / common::SpinLock /
                    common::CheckedMutex so lock discipline stays visible
                    to Clang Thread Safety Analysis and to the ULT
                    scheduler (a pthread mutex blocks the carrier thread).
+
+  context-owner    make_fcontext( or StackPool::global().acquire( /
+                   .release( outside src/fctx/ and the ULT engine
+                   (src/sched/ult_engine.cpp). The engine is the one owner
+                   of contexts and pooled stacks: binding at first
+                   dispatch, release at Done and the primary thread's
+                   scheduler context all live there, so a backend that
+                   builds its own context or takes its own stack is a copy
+                   of the engine growing back.
 
   relaxed-handoff  a memory_order_relaxed *store* whose own line or the
                    comment block immediately above it says "handoff".
@@ -57,6 +65,8 @@ SLEEP_RE = re.compile(
     r"\bsleep_for\s*\(|\bsleep_until\s*\(|\busleep\s*\(|\bnanosleep\s*\(")
 PARK_RE = re.compile(r"\.\s*park_(?:for_us|until)\s*\(")
 PTHREAD_RE = re.compile(r"\bpthread_mutex_\w+")
+CONTEXT_RE = re.compile(
+    r"\bmake_fcontext\s*\(|StackPool::global\(\)\s*\.\s*(?:acquire|release)\s*\(")
 RELAXED_STORE_RE = re.compile(r"\.store\s*\([^;]*memory_order_relaxed")
 COMMENT_RE = re.compile(r"^\s*(//|/\*|\*)")
 WAIVER_RE = re.compile(r"//\s*lint:\s*allow\((?P<rule>[\w-]+)\)\s*\S")
@@ -70,11 +80,10 @@ PARK_ALLOWLIST = {
     os.path.join("src", "sched", "ws_core.hpp"),  # scheduler idle parking
     os.path.join("src", "common", "parker.hpp"),  # the Parker itself
 }
-PTHREAD_ALLOW_DIRS = (
-    os.path.join("src", "abt") + os.sep,
-    os.path.join("src", "qth") + os.sep,
-    os.path.join("src", "mth") + os.sep,
-)
+CONTEXT_ALLOW_DIR = os.path.join("src", "fctx") + os.sep
+CONTEXT_ALLOWLIST = {
+    os.path.join("src", "sched", "ult_engine.cpp"),  # the one ULT engine
+}
 
 EXTS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 
@@ -140,16 +149,25 @@ def lint_file(root, rel, findings):
                 "watchdog-bracketed",
             ))
 
-        if (
-            not rel.startswith(PTHREAD_ALLOW_DIRS)
-            and PTHREAD_RE.search(code)
-            and not waived(line, "raw-pthread")
-        ):
+        if PTHREAD_RE.search(code) and not waived(line, "raw-pthread"):
             findings.append((
                 rel, lineno, "raw-pthread",
-                "pthread_mutex_* outside the backends: use sched::Mutex "
+                "pthread_mutex_* in runtime code: use sched::Mutex "
                 "(ULT-blocking), common::SpinLock, or common::CheckedMutex "
                 "so lock discipline stays analyzable",
+            ))
+
+        if (
+            not rel.startswith(CONTEXT_ALLOW_DIR)
+            and rel not in CONTEXT_ALLOWLIST
+            and CONTEXT_RE.search(code)
+            and not waived(line, "context-owner")
+        ):
+            findings.append((
+                rel, lineno, "context-owner",
+                "fcontext or pooled stack handled outside src/fctx/ and "
+                "the ULT engine: go through sched/ult_engine.hpp so "
+                "contexts and stacks keep one owner",
             ))
 
         if RELAXED_STORE_RE.search(code) and not waived(line, "relaxed-handoff"):

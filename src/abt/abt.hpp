@@ -1,31 +1,23 @@
 // abt — an Argobots-like lightweight-threading library.
 //
-// Model (mirrors Argobots, the paper's best-behaved GLT backend):
-//  * A fixed set of *execution streams* (xstreams): OS threads bound to
-//    cores. Xstream 0 is the *primary* xstream — the thread that called
-//    abt::init — and the calling context becomes the *primary ULT*.
-//  * Each xstream owns a lock-free Chase–Lev deque: the owner pushes and
-//    pops LIFO at the bottom (cache-warm, work-first), idle xstreams steal
-//    FIFO from the top with randomized victim selection. Only *unpinned*
-//    units (ult_create / tasklet_create) are stealable; units placed with
-//    ult_create_on / tasklet_create_on are pinned and always execute on
-//    their target xstream — the exact-placement contract the GLT layer
-//    documents and the paper's work-assignment studies (Fig. 7) rely on.
-//    Pinned, remote-submitted, and yielded units travel through a
-//    per-xstream MPMC side queue that is drained FIFO by its owner only.
-//    An optional single shared pool (Config::shared_pool) implements the
-//    GLT_SHARED_QUEUES behaviour of §IV-F over the same lock-free MPMC
-//    queue, so that ablation measures queue contention, not lock
-//    convoying.
+// Semantics (mirrors Argobots, the paper's best-behaved GLT backend):
+//  * *Execution streams* (xstreams) are the workers; xstream 0 is the
+//    thread that called abt::init, which becomes the *primary ULT*,
+//    pinned to xstream 0.
+//  * Exact placement: units created with ult_create_on / tasklet_create_on
+//    are pinned and always execute on their target xstream — the contract
+//    the GLT layer documents and the paper's work-assignment studies
+//    (Fig. 7) rely on. ult_create / tasklet_create units land on the
+//    caller's xstream and idle xstreams may steal them.
 //  * Work units are either *ULTs* (own stack, can yield/block) or
 //    *tasklets* (stackless, run to completion on the scheduler's stack —
-//    natively supported here just as in Argobots, §III-B). A ULT's
-//    pooled stack is bound when an xstream first runs it and released by
-//    that xstream's scheduler when it finishes: queued ULTs hold none.
+//    natively supported here just as in Argobots, §III-B). yield() in a
+//    tasklet is a no-op; a blocking join inside one is an error.
+//  * join() suspends a joining ULT until the unit finishes; records are
+//    destroyed by join.
 //
-// Blocking is cooperative: a ULT joining another suspends itself and is
-// re-readied by the finisher, so scheduler threads never block in the
-// kernel while work exists.
+// Scheduling, stacks and suspension come from the shared ULT engine
+// (sched/ult_engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +29,7 @@ namespace glto::abt {
 using WorkFn = void (*)(void*);
 
 struct Config {
-  int num_xstreams = 0;      ///< 0 → $ABT_NUM_XSTREAMS or hardware threads
+  int num_xstreams = 0;      ///< 0 → hardware threads
   bool shared_pool = false;  ///< one pool shared by all xstreams
   bool bind_threads = true;  ///< pin xstream i to core i (best-effort)
 };

@@ -145,7 +145,7 @@ struct Arena {
 /// while CONCURRENT solves always hold distinct arenas. (A thread_local
 /// would not be sound here: solve() crosses task-runtime suspension
 /// points, after which the calling context can resume on a different OS
-/// thread — the stale-TLS hazard abt::tls_now documents.)
+/// thread — the stale-TLS hazard sched/ult_engine.hpp documents.)
 class ArenaLease {
  public:
   ArenaLease() {

@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/affinity.hpp"
-
 namespace glto::common {
 
 std::optional<std::string> env_str(const char* name) {
@@ -35,13 +33,6 @@ bool env_bool(const char* name, bool fallback) {
   if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
   return fallback;
-}
-
-int env_worker_count(const char* name, int requested) {
-  if (requested > 0) return requested;
-  const auto n = env_i64(name, static_cast<std::int64_t>(
-                                   hardware_concurrency()));
-  return n > 0 ? static_cast<int>(n) : 1;
 }
 
 void env_set(const char* name, const char* value) {

@@ -25,9 +25,4 @@ bool env_bool(const char* name, bool fallback);
 /// Only used by tests and benchmark drivers.
 void env_set(const char* name, const char* value);
 
-/// Worker-count resolution shared by the three LWT backends (previously
-/// hand-rolled in each init): @p requested when positive, else $name,
-/// else the hardware thread count. Always ≥ 1.
-int env_worker_count(const char* name, int requested);
-
 }  // namespace glto::common

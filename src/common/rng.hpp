@@ -55,7 +55,7 @@ class SplitRng {
 /// xoshiro-style fast sequential PRNG for benchmark data generation.
 class FastRng {
  public:
-  explicit FastRng(std::uint64_t seed) : s_(mix64(seed)) {}
+  explicit constexpr FastRng(std::uint64_t seed) : s_(mix64(seed)) {}
   std::uint64_t next() {
     s_ = mix64(s_);
     return s_;

@@ -1,27 +1,27 @@
 // mth — a MassiveThreads-like lightweight-threading library.
 //
-// Model (mirrors MassiveThreads 0.95 as used in the paper):
-//  * A fixed set of *workers* (OS threads), each owning a Chase–Lev
-//    work-stealing deque. **Random work stealing is always on** — the
-//    trait behind GLTO(MTH)'s load-balancing wins (Fig. 13, ≤4 threads)
-//    and its stealing-contention losses (Figs. 10–12).
+// Semantics (mirrors MassiveThreads 0.95 as used in the paper):
+//  * *Workers* are OS threads. **Random work stealing is always on** —
+//    everything mth schedules (spawned continuations, yields, woken
+//    strands) is stealable: the trait behind GLTO(MTH)'s load-balancing
+//    wins (Fig. 13, ≤4 threads) and its stealing-contention losses
+//    (Figs. 10–12).
 //  * Thread creation is **work-first**: mth::create switches to the child
-//    immediately; the parent's *continuation* is published to the worker's
-//    deque where idle workers can steal it. This is how MassiveThreads
-//    achieves near-Cilk spawn semantics.
+//    immediately; the parent's *continuation* is published where idle
+//    workers can steal it. This is how MassiveThreads achieves near-Cilk
+//    spawn semantics. A finishing or blocking strand hands its worker
+//    straight to the next runnable strand.
 //  * Consequently **the main context is a schedulable, stealable item**:
 //    after a spawn, main's continuation may be resumed by any worker.
 //    This is the §IV-G property that forced the GLTO authors to pin the
 //    master thread; Config::pin_main reproduces their modification (main
-//    is then only ever resumed by worker 0 and never yields).
+//    is then only ever resumed by worker 0).
 //
-// join() may migrate the calling strand across OS threads; runtime state
-// is always re-read from thread-local storage after a suspension point.
+// join() may migrate the calling strand across OS threads; worker_rank()
+// must be re-queried after any suspension point.
 //
-// A strand's pooled stack is bound when it is first dispatched — by
-// create()'s work-first jump, or for a queued (create_bulk) strand by the
-// worker that picks it up — and released on the receiving side of its
-// Done hand-off: queued strands hold no stack.
+// Scheduling, stacks and suspension come from the shared ULT engine
+// (sched/ult_engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,7 @@ namespace glto::mth {
 using WorkFn = void (*)(void*);
 
 struct Config {
-  int num_workers = 0;   ///< 0 → $MTH_NUM_WORKERS or hardware threads
+  int num_workers = 0;   ///< 0 → hardware threads
   bool bind_threads = true;
   bool pin_main = false; ///< GLTO §IV-G: main never migrates off worker 0
   bool shared_pool = false;  ///< one pool for all workers (§IV-F ablation)

@@ -66,7 +66,7 @@ sched::Freelist<SpillSlab>& spill_pool() {
 
 // See the task_support.hpp declaration: noinline + asm barrier force the
 // thread_local lookup to happen at call time on the *current* OS thread,
-// never cached from before a ULT suspension (the abt::tls_now idiom).
+// never cached from before a ULT suspension (the ULT engine's tls_now idiom).
 __attribute__((noinline)) int record_rank() {
   asm volatile("");
   static std::atomic<int> next{0};

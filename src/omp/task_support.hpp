@@ -80,7 +80,7 @@ inline constexpr int kRecordPoolWorkers = 64;
 /// ULT suspension and OS-thread migration — where an inlined, cached
 /// thread_local read from before the context switch would hand back the
 /// pre-migration thread's rank and let two OS threads mutate one
-/// owner-only freelist (the stale-TLS hazard abt::tls_now documents).
+/// owner-only freelist (the stale-TLS hazard sched/ult_engine.hpp documents).
 [[nodiscard]] int record_rank();
 
 }  // namespace glto::omp::detail

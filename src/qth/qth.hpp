@@ -1,13 +1,10 @@
 // qth — a Qthreads-like lightweight-threading library.
 //
-// Model (mirrors Qthreads 1.10 as used in the paper):
-//  * A fixed set of *shepherds*: OS threads, each owning a work queue.
-//    Since the dispatch-parity PR the shepherds run on the shared
-//    work-stealing core (sched::WsCore): a plain fork() from a shepherd
-//    lands on the caller's Chase–Lev deque where idle shepherds steal it,
-//    while fork_to() stays exact (owner-only fair queue, never stolen).
-//    Forks from foreign threads (no deque of their own) scatter
-//    round-robin over the shepherds.
+// Semantics (mirrors Qthreads 1.10 as used in the paper):
+//  * *Shepherds* are the workers. A plain fork() from a shepherd lands on
+//    the caller's own queue, where idle shepherds may steal it; fork_to()
+//    is exact (the qthread is pinned to its shepherd, never stolen).
+//    Forks from foreign threads scatter round-robin over the shepherds.
 //  * The signature synchronization primitive is the **FEB** (full/empty
 //    bit): every aligned 64-bit word can be read/written with blocking
 //    full/empty semantics (readFF, readFE, writeEF, writeF). FEB state
@@ -21,9 +18,10 @@
 //
 // Thread handles: fork() returns immediately; completion is observed via
 // the caller-owned return word (readFF). The runtime frees thread records
-// automatically after completion. A qthread's pooled stack is bound when a
-// shepherd first runs it and released by that shepherd's scheduler when
-// it finishes: queued qthreads hold none.
+// automatically after completion.
+//
+// Scheduling, stacks and suspension come from the shared ULT engine
+// (sched/ult_engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +36,7 @@ using aligned_t = std::uint64_t;
 using QthFn = aligned_t (*)(void*);
 
 struct Config {
-  int num_shepherds = 0;  ///< 0 → $QTH_NUM_SHEPHERDS or hardware threads
+  int num_shepherds = 0;  ///< 0 → hardware threads
   bool bind_threads = true;
   bool shared_pool = false;  ///< one pool for all shepherds (§IV-F ablation)
 };

@@ -1,6 +1,6 @@
 // Per-worker object freelist with a shared overflow slab.
 //
-// Work-unit records (abt WorkUnits, qth Threads, mth Strands) are created
+// Work-unit records (the ULT engine's, under abt, qth and mth) are created
 // and destroyed at the paper's microbenchmark rates, so their allocation
 // must stay off malloc and off any shared lock on the fast path. Each
 // worker owns a plain vector it alone touches (lock-free by ownership);
@@ -86,8 +86,8 @@ class Freelist {
   /// Recycles a node. Owner fast path when @p rank ≥ 0; foreign threads
   /// (and spills from oversized local lists) go through the shared slab.
   /// Callers after a suspension point must pass the *current* rank (see
-  /// abt::tls_now) — a stale rank would touch another worker's owner-only
-  /// list.
+  /// tls_now in sched/ult_engine.cpp) — a stale rank would touch another
+  /// worker's owner-only list.
   void recycle(int rank, Node* n) {
     if (rank >= 0 && static_cast<std::size_t>(rank) < lists_.size()) {
       PerWorker& pw = lists_[static_cast<std::size_t>(rank)];

@@ -13,10 +13,8 @@ namespace glto::sched {
 
 namespace {
 
-// Small fixed registry: one slot per live backend (nested_libraries runs
-// two at once). Slots are CAS-claimed; lookup is a short scan.
-constexpr int kMaxSuspendOps = 4;
-std::atomic<const SuspendOps*> g_ops[kMaxSuspendOps];
+// The live ULT engine's vtable (one engine runs at a time).
+std::atomic<const SuspendOps*> g_ops{nullptr};
 
 std::atomic<std::uint64_t> g_suspensions{0};
 std::atomic<std::uint64_t> g_wakes_direct{0};
@@ -63,35 +61,22 @@ bool park_suspend_cb(void* arg, void* handle) {
 }  // namespace
 
 void register_suspend_ops(const SuspendOps* ops) {
-  for (int i = 0; i < kMaxSuspendOps; ++i) {
-    const SuspendOps* expected = nullptr;
-    if (g_ops[i].compare_exchange_strong(expected, ops,
-                                         std::memory_order_acq_rel)) {
-      return;
-    }
-  }
-  // A full registry means a backend leaked its slot across init/finalize;
-  // dropping the registration silently would degrade every wait on this
-  // backend to the Parker fallback — fail loudly instead.
-  GLTO_CHECK_MSG(false, "suspend-ops registry full: leaked registration?");
+  const SuspendOps* expected = nullptr;
+  const bool claimed =
+      g_ops.compare_exchange_strong(expected, ops, std::memory_order_acq_rel);
+  // A taken slot means a backend leaked its registration across
+  // init/finalize; replacing it silently would strand the other's waiters.
+  GLTO_CHECK_MSG(claimed, "suspend ops already registered");
 }
 
 void unregister_suspend_ops(const SuspendOps* ops) {
-  for (int i = 0; i < kMaxSuspendOps; ++i) {
-    const SuspendOps* expected = ops;
-    if (g_ops[i].compare_exchange_strong(expected, nullptr,
-                                         std::memory_order_acq_rel)) {
-      return;
-    }
-  }
+  const SuspendOps* expected = ops;
+  g_ops.compare_exchange_strong(expected, nullptr, std::memory_order_acq_rel);
 }
 
 const SuspendOps* current_suspend_ops() {
-  for (int i = 0; i < kMaxSuspendOps; ++i) {
-    const SuspendOps* o = g_ops[i].load(std::memory_order_acquire);
-    if (o != nullptr && o->can_suspend()) return o;
-  }
-  return nullptr;
+  const SuspendOps* o = g_ops.load(std::memory_order_acquire);
+  return o != nullptr && o->can_suspend() ? o : nullptr;
 }
 
 std::uint64_t suspensions() {
@@ -123,20 +108,14 @@ bool run_some_work() {
   // maybe_work is a *probe* ("anything runnable for this thread?") —
   // the actual execution happens when the caller yields into the
   // scheduler. True therefore means "yield now and it will count".
-  for (int i = 0; i < kMaxSuspendOps; ++i) {
-    const SuspendOps* o = g_ops[i].load(std::memory_order_acquire);
-    if (o != nullptr && o->maybe_work()) return true;
-  }
-  return false;
+  const SuspendOps* o = g_ops.load(std::memory_order_acquire);
+  return o != nullptr && o->maybe_work();
 }
 
 void yield_some() {
-  for (int i = 0; i < kMaxSuspendOps; ++i) {
-    const SuspendOps* o = g_ops[i].load(std::memory_order_acquire);
-    if (o != nullptr && o->can_suspend()) {
-      o->yield();
-      return;
-    }
+  if (const SuspendOps* o = current_suspend_ops()) {
+    o->yield();
+    return;
   }
   std::this_thread::yield();
 }

@@ -8,12 +8,12 @@
 // re-deposits it onto a worker deque through the core's targeted-wake
 // path. No sleep quantum, no lost wakeups.
 //
-// Backend coupling is a five-function vtable (SuspendOps) each ULT
-// backend registers at init: `suspend(cb, arg)` switches to the
-// scheduler, runs `cb` there — *after* the waiter's context is fully
-// saved — and `cb` enqueues the waiter under the primitive's lock with a
-// re-check of the wait condition (the same registered-or-complete shape
-// qth's FEB engine uses). `cb` returning false means the condition was
+// Backend coupling is a five-function vtable (SuspendOps) the ULT engine
+// (sched/ult_engine.hpp) registers at init: `suspend(cb, arg)` switches
+// away, runs `cb` on the receiving side — *after* the waiter's context is
+// fully saved — and `cb` enqueues the waiter under the primitive's lock
+// with a re-check of the wait condition (the engine's park protocol, which
+// joins and qth's FEB ops use too). `cb` returning false means the condition was
 // already satisfied and the scheduler re-readies the waiter immediately;
 // returning true hands ownership of the handle to the eventual
 // signaller, which resumes it with `resume(handle)`.
@@ -22,7 +22,7 @@
 // pthread runtimes) fall back to a work-conserving park on the calling
 // thread's Parker: the signaller banks a permit, so the wake is never
 // lost and never waits out a timeout quantum; between parks the waiter
-// drains runnable units via the registered backends' maybe_work so a
+// drains runnable units via the registered engine's maybe_work so a
 // stackless context blocking on a primitive cannot wedge its worker.
 #pragma once
 
@@ -47,10 +47,9 @@ namespace glto::sched {
 /// (condition already satisfied — the scheduler re-readies the waiter).
 using SuspendCb = bool (*)(void* arg, void* handle);
 
-/// Per-backend suspension vtable. Registered at backend init,
-/// unregistered at finalize; raw-backend users (no glt:: facade) get the
-/// same blocking behaviour, and two live backends (nested_libraries)
-/// each resume their own waiters.
+/// Suspension vtable. Registered at backend init, unregistered at
+/// finalize; raw-backend users (no glt:: facade) get the same blocking
+/// behaviour.
 struct SuspendOps {
   bool (*can_suspend)();                    ///< caller can capture a continuation
   void (*suspend)(SuspendCb cb, void* arg); ///< park current ULT via cb

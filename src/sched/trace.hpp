@@ -13,7 +13,7 @@
 // The slow path is deliberately out of line in trace.cpp: ULTs migrate across
 // OS threads at suspension points, so the thread_local ring must be
 // re-resolved at the call, never cached across a potential switch (the same
-// rule as abt::tls_now).
+// rule as tls_now in sched/ult_engine.cpp).
 #pragma once
 
 #include <atomic>

@@ -1,0 +1,519 @@
+#include "sched/ult_engine.hpp"
+
+#include <algorithm>
+#include <new>
+#include <thread>
+#include <vector>
+
+#include "common/affinity.hpp"
+#include "common/debug.hpp"
+#include "common/spin.hpp"
+#include "common/thread_safety.hpp"
+#include "sched/freelist.hpp"
+#include "sched/watchdog.hpp"
+
+namespace glto::sched::ult {
+
+namespace {
+
+enum class Dir : std::uint8_t { Resume, Yield, Park, Done, Spawn, Migrate };
+
+/// What a switching unit tells the side that receives control.
+struct SwitchMsg {
+  Dir dir;
+  Record* self;               ///< the sender
+  Record* resumee = nullptr;  ///< the unit this jump enters
+  SuspendCb cb = nullptr;     ///< Park: register-or-complete callback
+  void* cb_arg = nullptr;
+};
+
+Record* const kJoinerSentinel = reinterpret_cast<Record*>(std::uintptr_t(1));
+
+constexpr std::uint64_t kStealSeed = 0x9e3779b97f4a7c15ULL;
+
+struct Engine {
+  Engine(const Personality& pers, int n_in, bool shared, bool bind_in)
+      : p(&pers), n(n_in), bind(bind_in), core(WsCoreConfig{n_in, shared}),
+        free(n_in) {}
+  const Personality* p;
+  const int n;
+  const bool bind;
+  /// The primary context travels through the core's main slot when it is
+  /// pinned: only rank 0 pops it, so finalize always runs where init did.
+  WsCore<Record*> core;
+  Freelist<Record> free;
+  std::vector<std::thread> workers;
+  Record* main = nullptr;
+  /// Stack of rank 0's scheduler context, built the first time the main
+  /// thread has to leave the unit it runs (the other ranks' loops run on
+  /// their native thread stacks).
+  fctx::Stack primary_stack;
+  std::uint64_t watchdog_token = 0;
+  std::uint64_t stack_hits_at_init = 0;
+  std::atomic<std::uint64_t> created{0};
+  std::atomic<std::uint64_t> tasklets{0};
+  std::atomic<std::uint64_t> yields{0};
+  std::atomic<std::uint64_t> main_migrations{0};
+};
+
+Engine* g = nullptr;
+
+struct Tls {
+  int rank = -1;
+  Record* current = nullptr;              ///< unit whose stack we run on
+  fctx::fcontext_t sched_ctx = nullptr;   ///< this thread's suspended loop
+  fctx::StackRegion sched_stack;          ///< ASan bounds of that loop's stack
+  // Work-first hand-off pops (leave): fair-queue cadence and steal victims.
+  unsigned tick = 0;
+  common::FastRng rng{0};
+};
+
+thread_local Tls tls;
+
+/// The per-thread block as seen by the OS thread running *now*. noinline
+/// plus the compiler barrier force the %fs-relative address to be
+/// recomputed at the call instead of reusing one computed before a switch
+/// that may have moved the caller to another thread.
+__attribute__((noinline)) Tls& tls_now() {
+  asm volatile("");
+  return tls;
+}
+
+thread_local void* g_foreign_local = nullptr;
+
+/// The one resume rule, run on worker @p rank (-1: a foreign thread): a
+/// pinned main rides the main slot to rank 0; every other unit goes
+/// through the core's routing.
+void make_ready(Record* r, bool fifo, int rank) {
+  if (r->is_main && r->pinned) {
+    g->core.push_main(r);
+  } else {
+    g->core.ready(rank, r->home_rank, r->pinned, fifo, r);
+  }
+}
+
+/// Recycles a finished or joined record into worker @p rank's list.
+void recycle(Record* r, int rank) {
+  if (g == nullptr) {  // joined after finalize: nothing to recycle into
+    delete r;
+    return;
+  }
+  g->free.recycle(rank, r);
+}
+
+/// A unit finished on worker @p rank and its stack is released.
+void finish(Record* r, int rank) {
+  if (g->p->auto_free) {
+    recycle(r, rank);
+    return;
+  }
+  // Claim the joiner slot BEFORE publishing done: once done is visible a
+  // joiner may return from join() and recycle r, so the done store must be
+  // the last access to *r.
+  Record* j = r->joiner.exchange(kJoinerSentinel, std::memory_order_acq_rel);
+  r->done.store(true, std::memory_order_release);
+  if (j != nullptr) make_ready(j, /*fifo=*/false, rank);
+}
+
+void run_body(Record* r) {
+  if (g->p->body != nullptr) {
+    g->p->body(r);
+  } else {
+    r->fn(r->arg);
+  }
+}
+
+/// Handles the directive a unit sent when it switched away. Runs on the
+/// receiving side (a scheduler loop, or under work-first the next unit) on
+/// worker @p rank, after the sender's context is saved in @p from. Every
+/// field of @p m is read before the sender is re-readied: from then on its
+/// stack, where @p m lives, may be reused.
+inline void process(const SwitchMsg& m, fctx::fcontext_t from, int rank) {
+  Record* self = m.self;
+  switch (m.dir) {
+    case Dir::Yield:
+    case Dir::Spawn:
+      self->ctx = from;
+      make_ready(self, m.dir == Dir::Yield && !g->p->work_first, rank);
+      break;
+    case Dir::Migrate:
+      self->ctx = from;
+      g->core.push_main(self);
+      break;
+    case Dir::Park:
+      self->ctx = from;
+      if (!m.cb(m.cb_arg, self)) make_ready(self, /*fifo=*/false, rank);
+      break;
+    case Dir::Done:
+      fctx::StackPool::global().release(self->stack);
+      self->stack = fctx::Stack{};
+      finish(self, rank);
+      break;
+    case Dir::Resume:
+      GLTO_CHECK_MSG(false, "Resume is never sent to a scheduler");
+  }
+}
+
+/// Landing for a unit that just got control: interprets the incoming
+/// message and refreshes the per-thread block. It runs right after a
+/// switch, possibly on another OS thread than the caller started on, so the
+/// block is resolved through tls_now().
+inline void land(Record* self, fctx::transfer_t t) {
+  Tls& now = tls_now();
+  const SwitchMsg in = *static_cast<const SwitchMsg*>(t.data);
+  if (in.dir == Dir::Resume) {
+    now.sched_ctx = t.from;  // a scheduler loop resumed us: our way back
+  } else {
+    process(in, t.from, now.rank);  // a work-first hand-off
+  }
+  now.current = self;
+  self->last_rank.store(now.rank, std::memory_order_relaxed);
+  if (self->is_main && now.rank != 0) {
+    g->main_migrations.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void ult_entry(fctx::transfer_t t);
+void primary_entry(fctx::transfer_t t);
+
+void bind_stack(Record* r) {
+  r->stack = fctx::StackPool::global().acquire();
+  r->stack_region = r->stack.region();
+  r->ctx = fctx::make_fcontext(r->stack.top, r->stack.size, ult_entry);
+}
+
+/// Switches @p self, the current unit, away with directive @p dir: to the
+/// next runnable unit (work-first only) or to this thread's scheduler
+/// loop. Returns when the unit is resumed; never for Done. noinline: a
+/// suspension point. Takes scalars, not a SwitchMsg: the message is built
+/// once, here, where the receiving side reads it.
+__attribute__((noinline)) void leave(Dir dir, Record* self,
+                                     SuspendCb cb = nullptr,
+                                     void* cb_arg = nullptr) {
+  Tls& t = tls;  // pre-switch: still the caller's own thread
+  SwitchMsg msg{dir, self, nullptr, cb, cb_arg};
+  GLTO_CHECK_MSG(self != nullptr, "suspend outside a ULT");
+  GLTO_CHECK_MSG(!self->stackless,
+                 "tasklets are stackless and cannot suspend (no yield-wait "
+                 "or blocking join inside a tasklet)");
+  Record* next = g->p->work_first
+                     ? g->core.try_next(t.rank, &t.tick, t.rng,
+                                        /*with_main=*/t.rank == 0)
+                     : nullptr;
+  fctx::fcontext_t to;
+  fctx::StackRegion region;
+  if (next != nullptr) {
+    if (next->ctx == nullptr) bind_stack(next);
+    msg.resumee = next;
+    to = next->ctx;
+    region = next->stack_region;
+  } else {
+    if (t.sched_ctx == nullptr) {
+      // Rank 0 only: the main thread entered the runtime running main, so
+      // its scheduler loop does not exist until main first has to leave.
+      GLTO_CHECK(t.rank == 0 && !g->primary_stack.valid());
+      g->primary_stack = fctx::StackPool::global().acquire();
+      t.sched_ctx = fctx::make_fcontext(g->primary_stack.top,
+                                        g->primary_stack.size, primary_entry);
+      t.sched_stack = g->primary_stack.region();
+    }
+    to = t.sched_ctx;
+    region = t.sched_stack;
+    t.sched_ctx = nullptr;  // consumed; the loop's next Resume re-arms it
+    t.current = nullptr;
+  }
+  const fctx::transfer_t tr = fctx::jump_fcontext_to(
+      to, &msg, region, /*abandon=*/msg.dir == Dir::Done);
+  land(self, tr);
+}
+
+/// Entry trampoline of every stackful unit, at its first dispatch.
+void ult_entry(fctx::transfer_t t) {
+  fctx::asan_enter();
+  const auto* in = static_cast<const SwitchMsg*>(t.data);
+  Record* self = in->resumee;
+  if (in->dir == Dir::Resume) {
+    // Started by this thread's scheduler loop, the common case. Nothing
+    // ran on this frame before, so the plain per-thread block is current.
+    tls.sched_ctx = t.from;
+    tls.current = self;
+    self->last_rank.store(tls.rank, std::memory_order_relaxed);
+  } else {
+    land(self, t);
+  }
+  run_body(self);
+  leave(Dir::Done, self);
+  GLTO_CHECK_MSG(false, "resumed a finished ULT");
+}
+
+void run_unit(Tls& t, Record* r) {
+  trace_emit(TraceKind::ult_switch, reinterpret_cast<std::uintptr_t>(r),
+             r->stackless ? 1u : 0u);
+  if (r->stackless) {
+    // A tasklet runs right here, on the scheduler's stack, as `current`
+    // so that yield() and self_local() act on the tasklet itself.
+    r->last_rank.store(t.rank, std::memory_order_relaxed);
+    t.current = r;
+    run_body(r);
+    t.current = nullptr;
+    finish(r, t.rank);
+    return;
+  }
+  if (r->ctx == nullptr) bind_stack(r);
+  SwitchMsg resume{Dir::Resume, nullptr, r};
+  const fctx::transfer_t tr =
+      fctx::jump_fcontext_to(r->ctx, &resume, r->stack_region);
+  process(*static_cast<const SwitchMsg*>(tr.data), tr.from, t.rank);
+}
+
+/// The scheduler loop, shared by every worker and rank 0's primary
+/// context. A loop is only ever resumed on its own thread, so `t` stays
+/// valid; it exits when the core reports shutdown.
+void sched_loop() {
+  Tls& t = tls;
+  AcquireState st(kStealSeed + static_cast<std::uint64_t>(t.rank));
+  while (Record* r = g->core.acquire(t.rank, st, /*with_main=*/t.rank == 0)) {
+    run_unit(t, r);
+  }
+}
+
+void primary_entry(fctx::transfer_t t) {
+  fctx::asan_enter();
+  process(*static_cast<const SwitchMsg*>(t.data), t.from, tls.rank);
+  sched_loop();
+  GLTO_CHECK_MSG(false, "primary scheduler exited while runtime is alive");
+}
+
+void worker_main(int rank) {
+  tls.rank = rank;
+  tls.sched_stack = fctx::os_thread_stack();  // the loop runs right here
+  tls.rng = common::FastRng(kStealSeed + static_cast<std::uint64_t>(rank));
+  if (g->bind) common::bind_self_to_core(rank);
+  trace_thread_label(g->p->name, rank);
+  sched_loop();
+}
+
+void dump_core_state(void*) { g->core.dump_state(g->p->name); }
+
+bool join_cb(void* target, void* handle) {
+  auto* r = static_cast<Record*>(target);
+  Record* expected = nullptr;
+  return !r->done.load(std::memory_order_acquire) &&
+         r->joiner.compare_exchange_strong(expected,
+                                           static_cast<Record*>(handle),
+                                           std::memory_order_acq_rel);
+}
+
+// ------------------------------------------------- sched::SuspendOps bridge
+
+void ops_resume(void* handle) { resume(static_cast<Record*>(handle)); }
+
+constexpr SuspendOps kSuspendOps{in_ult, park, ops_resume, yield, maybe_work};
+
+// Record storage: blocks carved from aligned slabs. Freed blocks are kept
+// on a list for reuse; slabs are never returned (records themselves
+// recycle through the engine's freelist, so few blocks are ever freed).
+struct FreeBlock {
+  FreeBlock* next;
+};
+constexpr std::size_t kSlabRecords = 64;
+common::SpinLock g_block_lock;
+FreeBlock* g_free_blocks GLTO_GUARDED_BY(g_block_lock) = nullptr;
+char* g_slab GLTO_GUARDED_BY(g_block_lock) = nullptr;
+std::size_t g_slab_left GLTO_GUARDED_BY(g_block_lock) = 0;
+
+}  // namespace
+
+void* Record::operator new(std::size_t size) {
+  GLTO_CHECK(size == sizeof(Record));
+  common::SpinGuard guard(g_block_lock);
+  if (FreeBlock* b = g_free_blocks) {
+    g_free_blocks = b->next;
+    return b;
+  }
+  if (g_slab_left == 0) {
+    g_slab = static_cast<char*>(::operator new(
+        kSlabRecords * sizeof(Record), std::align_val_t{alignof(Record)}));
+    g_slab_left = kSlabRecords;
+  }
+  void* p = g_slab;
+  g_slab += sizeof(Record);
+  --g_slab_left;
+  return p;
+}
+
+void Record::operator delete(void* p) noexcept {
+  common::SpinGuard guard(g_block_lock);
+  g_free_blocks = new (p) FreeBlock{g_free_blocks};
+}
+
+void init(const Personality& p, int num_workers, bool shared_pool,
+          bool bind_threads, bool pin_main) {
+  GLTO_CHECK_MSG(g == nullptr,
+                 "a ULT backend is already running (abt, qth and mth share "
+                 "one engine)");
+  // Arm observability even for raw-backend users (no glt:: facade): both
+  // resolvers are idempotent, so the facade path pays nothing.
+  trace_init_from_env();
+  metrics_init_from_env();
+  const int n = num_workers > 0 ? num_workers
+                                : std::max(1, common::hardware_concurrency());
+  g = new Engine(p, n, shared_pool, bind_threads);
+  g->watchdog_token = watchdog_register_dumper(dump_core_state, nullptr);
+  g->stack_hits_at_init = fctx::StackPool::global().cache_hits();
+  g->main = new Record();
+  g->main->is_main = true;
+  g->main->pinned = pin_main;
+  g->main->stack_region = fctx::os_thread_stack();
+  tls = Tls{};
+  tls.rank = 0;
+  tls.rng = common::FastRng(kStealSeed);
+  tls.current = g->main;
+  if (bind_threads) common::bind_self_to_core(0);
+  register_suspend_ops(&kSuspendOps);
+  for (int r = 1; r < n; ++r) g->workers.emplace_back(worker_main, r);
+}
+
+void finalize() {
+  Record* self = tls.current;
+  GLTO_CHECK_MSG(self != nullptr && self == g->main,
+                 "finalize must run on the main ULT");
+  // A stolen main rides the main slot back to rank 0's OS thread (the one
+  // that ran init), so joining the workers is safe.
+  if (tls.rank != 0) {
+    leave(Dir::Migrate, self);
+    GLTO_CHECK(tls_now().rank == 0);
+  }
+  unregister_suspend_ops(&kSuspendOps);
+  watchdog_unregister_dumper(g->watchdog_token);
+  g->core.request_shutdown();
+  for (auto& w : g->workers) w.join();
+  fctx::StackPool::global().release(g->primary_stack);
+  delete g->main;
+  tls_now() = Tls{};
+  delete g;  // the Freelist dtor frees every recycled record
+  g = nullptr;
+}
+
+bool running(const Personality& p) { return g != nullptr && g->p == &p; }
+
+int num_workers() { return g != nullptr ? g->n : 0; }
+
+int self_rank() { return tls.rank; }
+
+bool in_ult() { return tls.current != nullptr && !tls.current->stackless; }
+
+bool maybe_work() {
+  if (g == nullptr || tls.rank < 0) return false;
+  return g->core.maybe_work(tls.rank, /*with_main=*/tls.rank == 0);
+}
+
+Record* alloc(WorkFn fn, void* arg, int home_rank, bool pinned,
+              bool stackless) {
+  GLTO_CHECK(home_rank < g->n);
+  if (home_rank < 0) home_rank = tls.rank >= 0 ? tls.rank : 0;
+  (stackless ? g->tasklets : g->created)
+      .fetch_add(1, std::memory_order_relaxed);
+  Record* r = g->free.try_alloc(tls.rank);
+  if (r == nullptr) r = new Record();
+  r->fn = fn;
+  r->arg = arg;
+  r->aux = nullptr;
+  r->ctx = nullptr;
+  r->stack = fctx::Stack{};
+  r->stack_region = fctx::StackRegion{};
+  r->done.store(false, std::memory_order_relaxed);
+  r->joiner.store(nullptr, std::memory_order_relaxed);
+  r->last_rank.store(-1, std::memory_order_relaxed);
+  r->home_rank = home_rank;
+  r->pinned = pinned;
+  r->is_main = false;
+  r->stackless = stackless;
+  r->user_local = nullptr;
+  return r;
+}
+
+void submit(Record* r) {
+  g->core.submit(tls.rank, r->home_rank, r->pinned, r);
+}
+
+Record* create(WorkFn fn, void* arg, int home_rank, bool pinned,
+               bool stackless) {
+  Record* r = alloc(fn, arg, home_rank, pinned, stackless);
+  submit(r);
+  return r;
+}
+
+void submit_bulk(Record* const* rs, int n, BulkHint hint) {
+  g->core.submit_bulk(tls.rank, rs, static_cast<std::size_t>(n), hint);
+}
+
+Record* spawn(WorkFn fn, void* arg) {
+  Record* parent = tls.current;
+  GLTO_CHECK_MSG(parent != nullptr, "work-first spawn outside a ULT");
+  Record* child = alloc(fn, arg, /*home_rank=*/0, /*pinned=*/false);
+  bind_stack(child);  // dispatched right here
+  SwitchMsg msg{Dir::Spawn, parent, child};
+  const fctx::transfer_t t =
+      fctx::jump_fcontext_to(child->ctx, &msg, child->stack_region);
+  land(parent, t);
+  return child;
+}
+
+void join(Record* r) {
+  GLTO_CHECK(r != nullptr);
+  Record* self = tls.current;
+  if (self == nullptr) {
+    // Foreign OS thread: no continuation to park, so wait passively.
+    common::spin_until([&] { return is_done(r); });
+  } else {
+    while (!is_done(r)) leave(Dir::Park, self, join_cb, r);
+  }
+  recycle(r, tls_now().rank);  // the joiner may have changed threads
+}
+
+void yield() {
+  Record* self = tls.current;
+  if (self == nullptr || self->stackless) return;  // tasklets run to completion
+  if (g->p->work_first && !maybe_work()) return;  // nothing else to run
+  g->yields.fetch_add(1, std::memory_order_relaxed);
+  leave(Dir::Yield, self);
+}
+
+void park(SuspendCb cb, void* arg) {
+  leave(Dir::Park, tls.current, cb, arg);
+}
+
+void resume(Record* r) { make_ready(r, /*fifo=*/false, tls_now().rank); }
+
+void* self_local() {
+  return tls.current != nullptr ? tls.current->user_local : g_foreign_local;
+}
+
+void set_self_local(void* p) {
+  if (tls.current != nullptr) {
+    tls.current->user_local = p;
+  } else {
+    g_foreign_local = p;
+  }
+}
+
+Counters counters() {
+  Counters c;
+  if (g != nullptr) {
+    c.created = g->created.load(std::memory_order_relaxed);
+    c.tasklets = g->tasklets.load(std::memory_order_relaxed);
+    c.yields = g->yields.load(std::memory_order_relaxed);
+    c.main_migrations = g->main_migrations.load(std::memory_order_relaxed);
+  }
+  return c;
+}
+
+void fill_stats(StatsSnapshot& s) {
+  if (g == nullptr) return;
+  s.assign_core(g->core.stats());
+  s.stack_cache_hits =
+      fctx::StackPool::global().cache_hits() - g->stack_hits_at_init;
+}
+
+}  // namespace glto::sched::ult

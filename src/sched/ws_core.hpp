@@ -63,9 +63,12 @@ namespace glto::sched {
 struct WsCoreConfig {
   int num_workers = 1;
   bool shared_pool = false;  ///< one pool for all workers (§IV-F ablation)
-  std::size_t deque_capacity = 256;
-  std::size_t fair_capacity = 1024;
 };
+
+/// Per-worker queue sizes: the Chase–Lev deque's initial array (it grows
+/// on demand) and the fair FIFO's ring (it spills to an overflow list).
+inline constexpr std::size_t kDequeCapacity = 256;
+inline constexpr std::size_t kFairCapacity = 1024;
 
 struct WsCoreStats {
   std::uint64_t steals = 0;          ///< units taken from another worker
@@ -122,8 +125,7 @@ class WsCore {
     const int pool_count = shared_ ? 1 : n_;
     pools_.reserve(static_cast<std::size_t>(pool_count));
     for (int i = 0; i < pool_count; ++i) {
-      pools_.push_back(std::make_unique<Pool>(cfg.deque_capacity,
-                                              cfg.fair_capacity));
+      pools_.push_back(std::make_unique<Pool>());
     }
   }
 
@@ -516,10 +518,8 @@ class WsCore {
 
  private:
   struct Pool {
-    Pool(std::size_t deque_cap, std::size_t fair_cap)
-        : deque(deque_cap), fair(fair_cap) {}
-    ChaseLevDeque<T> deque;
-    OverflowQueue<T> fair;
+    ChaseLevDeque<T> deque{kDequeCapacity};
+    OverflowQueue<T> fair{kFairCapacity};
   };
 
   /// Per-worker counters, owner-written; one cache line each so the hot

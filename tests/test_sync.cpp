@@ -5,12 +5,13 @@
 // primitive truly suspends — its continuation parks on the primitive's
 // wait list and the signaller re-deposits it through the core's
 // targeted-wake path — and no wakeup is ever lost regardless of how the
-// set/wait (or unlock/lock, notify/wait, send/recv) race resolves. The
-// foreign-thread path is covered too: the gtest main thread is not a ULT,
-// so every wait issued from the test body itself exercises the parker
-// fallback. The suite is chaos-compatible by design (no gated-task
-// handshakes), so the chaos CI leg runs it under ambient $GLTO_CHAOS
-// as-is.
+// set/wait (or unlock/lock, notify/wait, send/recv) race resolves. After
+// glt::init the gtest main thread is the primary ULT, so waits issued from
+// a test body suspend like any ULT's; the parker fallback for contexts
+// that cannot suspend is driven by a plain std::thread
+// (PlainOsThreadSetsWaitsAndJoins). The suite is chaos-compatible by
+// design (no gated-task handshakes), so the chaos CI leg runs it under
+// ambient $GLTO_CHAOS as-is.
 //
 // Host is often 1 core: no test asserts timing, parallel overlap, or
 // steal counts — only results.
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "apps/qpserver.hpp"
@@ -142,14 +144,52 @@ TEST_P(SyncBackend, EventNoLostWakeupRounds) {
 }
 
 TEST_P(SyncBackend, EventWaitFromForeignThread) {
-  // The gtest main thread is not a ULT: wait() takes the parker-fallback
-  // path while a ULT signals.
+  // After glt::init the gtest main thread is the primary ULT: wait()
+  // suspends it while another ULT signals. (The parker fallback of a real
+  // foreign thread is PlainOsThreadSetsWaitsAndJoins.)
   gg::event ev;
   auto* u = gg::ult_create(
       [](void* p) { static_cast<gg::event*>(p)->set(); }, &ev);
   ev.wait();
   EXPECT_TRUE(ev.is_set());
   gg::ult_join(u);
+}
+
+TEST_P(SyncBackend, PlainOsThreadSetsWaitsAndJoins) {
+  // A std::thread the runtime never adopted (rank -1) against a live
+  // backend. It sets an Event a ULT is parked on (the backend resumes a
+  // unit from a foreign thread), waits on an Event a ULT sets (the parker
+  // fallback: it cannot suspend), and joins a ULT main created (the
+  // foreign join path). It creates no ULTs: mth::create needs a strand.
+  // Main yields meanwhile, since a unit woken from rank -1 may be queued
+  // on main's own rank. The suspension counter orders the steps, so each
+  // wait really blocks before its signal is sent.
+  struct Ctx {
+    gg::event parked;    // a ULT waits, the foreign thread sets
+    gg::event from_ult;  // the foreign thread waits, a ULT sets
+    std::atomic<bool> foreign_done{false};
+    int foreign_rank = 0;
+  } ctx;
+  const std::uint64_t s0 = s::suspensions();
+  auto* waiter = gg::ult_create(
+      [](void* p) { static_cast<Ctx*>(p)->parked.wait(); }, &ctx);
+  while (s::suspensions() < s0 + 1) gg::yield();  // waiter parked
+  std::thread foreign([&ctx, waiter] {
+    ctx.foreign_rank = gg::thread_num();
+    ctx.from_ult.wait();
+    ctx.parked.set();
+    gg::ult_join(waiter);
+    ctx.foreign_done.store(true, std::memory_order_release);
+  });
+  while (s::suspensions() < s0 + 2) gg::yield();  // foreign thread parked
+  auto* setter = gg::ult_create(
+      [](void* p) { static_cast<Ctx*>(p)->from_ult.set(); }, &ctx);
+  while (!ctx.foreign_done.load(std::memory_order_acquire)) gg::yield();
+  foreign.join();
+  gg::ult_join(setter);
+  EXPECT_EQ(ctx.foreign_rank, -1);
+  EXPECT_TRUE(ctx.parked.is_set());
+  EXPECT_TRUE(ctx.from_ult.is_set());
 }
 
 TEST_P(SyncBackend, EventStackGateDestroyOnObserve) {
