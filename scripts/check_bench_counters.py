@@ -2,14 +2,16 @@
 """Deterministic-counter gate for traced perfbench runs (CI: fails on drift).
 
     python3 scripts/check_bench_counters.py scripts/bench_counters_seed1.json \\
-        cg-tasks=<traced output> bqp-dag=<traced output>
+        cg-tasks=<traced output> bqp-dag=<traced output> \\
+        nested-for=<traced output>
 
 Each <traced output> is the stdout of
 `python3 perfbench/run.py --workload <w> --seed 1 --seconds <s> --trace 1`;
 its last line is the result object. The reference names, per workload,
 per-operation counters that depend on neither thread count, run length
 nor timing: omp.tasks and cg.iters on cg-tasks, taskdep.deps_registered
-and bqp.ipm_iters on bqp-dag. Any difference from the reference fails, so
+and bqp.ipm_iters on bqp-dag, glt.ults_created and sync.timed_waits on
+nested-for. Any difference from the reference fails, so
 a change that alters how much work an operation creates must say so by
 updating the reference in the same commit.
 """

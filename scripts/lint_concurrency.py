@@ -5,26 +5,27 @@ Five rules, all scoped to runtime code under src/ (tests and examples may
 stage races with raw sleeps; the runtime itself must not):
 
   naked-sleep      std::this_thread::sleep_for / sleep_until / usleep /
-                   nanosleep outside the WaitEngine (src/sched/sync.cpp).
-                   A raw sleep parks a whole OS thread carrying many ULTs:
-                   it cannot be cut short by an unpark, skips the
-                   run-some-work rung of the backoff ladder, and is
-                   invisible to the stall watchdog. Blocking code must go
-                   through WaitEngine / Parker — for retry backoff that
-                   means sched::backoff_until / sched::backoff_for_us,
-                   which drain runnable work and stay watchdog-bracketed.
-                   src/sched/chaos.cpp is allowlisted: its delay injection
-                   exists precisely to simulate an ill-timed preemption.
+                   nanosleep anywhere in the runtime. A raw sleep parks a
+                   whole OS thread carrying many ULTs: it cannot be cut
+                   short by an unpark, keeps the worker from running other
+                   units, and is invisible to the stall watchdog. Blocking
+                   code must go through the one park path
+                   (sched::sync_detail::park_current) — for retry backoff
+                   that means sched::backoff_until, a timed park that
+                   suspends a ULT while its worker runs other units and
+                   stays watchdog-bracketed. src/sched/chaos.cpp is
+                   allowlisted: its delay injection exists precisely to
+                   simulate an ill-timed preemption.
 
   naked-park       a direct Parker .park_for_us( / .park_until( call
-                   outside the wait machinery (src/sched/sync.cpp,
+                   outside the park machinery (src/sched/sync.cpp,
                    src/sched/ws_core.hpp, src/common/parker.hpp). A bare
-                   park is a sleep with extra steps: it skips the
-                   WaitEngine's work-conserving ladder (run a unit, yield,
-                   then micro-park) and its watchdog bracketing, so an
-                   app-level backoff written this way hides a stall and
-                   wastes the carrier thread. Retry/backoff delays must
-                   call sched::backoff_until / sched::backoff_for_us.
+                   park is a sleep with extra steps: on a ULT it blocks
+                   the carrier thread instead of suspending through the
+                   one park path, and it skips the watchdog bracketing, so
+                   an app-level backoff written this way hides a stall and
+                   wastes the worker. Retry/backoff delays must call
+                   sched::backoff_until.
 
   raw-pthread      pthread_mutex_* anywhere in the runtime. Runtime
                    code must use sched::Mutex / common::SpinLock /
@@ -72,11 +73,10 @@ COMMENT_RE = re.compile(r"^\s*(//|/\*|\*)")
 WAIVER_RE = re.compile(r"//\s*lint:\s*allow\((?P<rule>[\w-]+)\)\s*\S")
 
 SLEEP_ALLOWLIST = {
-    os.path.join("src", "sched", "sync.cpp"),   # the WaitEngine itself
     os.path.join("src", "sched", "chaos.cpp"),  # intentional delay injection
 }
 PARK_ALLOWLIST = {
-    os.path.join("src", "sched", "sync.cpp"),     # WaitEngine micro-park rung
+    os.path.join("src", "sched", "sync.cpp"),     # park path off a ULT
     os.path.join("src", "sched", "ws_core.hpp"),  # scheduler idle parking
     os.path.join("src", "common", "parker.hpp"),  # the Parker itself
 }
@@ -131,9 +131,10 @@ def lint_file(root, rel, findings):
         ):
             findings.append((
                 rel, lineno, "naked-sleep",
-                "raw sleep in runtime code: route the wait through "
-                "WaitEngine/Parker (src/sched/sync.cpp) so it can be "
-                "unparked, runs pending work, and stays watchdog-visible",
+                "raw sleep in runtime code: route the wait through the "
+                "one park path (sched::backoff_until or a sched:: "
+                "primitive) so it can be cut short, lets the worker run "
+                "other units, and stays watchdog-visible",
             ))
 
         if (
@@ -143,10 +144,9 @@ def lint_file(root, rel, findings):
         ):
             findings.append((
                 rel, lineno, "naked-park",
-                "direct Parker park outside the wait machinery: use "
-                "sched::backoff_until / sched::backoff_for_us (WaitEngine) "
-                "so the delay runs pending work and stays "
-                "watchdog-bracketed",
+                "direct Parker park outside the park machinery: use "
+                "sched::backoff_until so a ULT suspends through the one "
+                "park path and the delay stays watchdog-bracketed",
             ))
 
         if PTHREAD_RE.search(code) and not waived(line, "raw-pthread"):

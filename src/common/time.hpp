@@ -13,6 +13,9 @@ inline std::int64_t now_ns() {
       .count();
 }
 
+/// now_ns() deadline meaning "wait without a deadline".
+inline constexpr std::int64_t kNoDeadline = INT64_MAX;
+
 /// Seconds (double) from a monotonic clock.
 inline double now_sec() { return static_cast<double>(now_ns()) * 1e-9; }
 

@@ -142,9 +142,9 @@ struct Stats : sched::StatsSnapshot {
 // The GLT spec's blocking objects (glt_mutex_*, glt_cond_*, glt_barrier_*)
 // map onto the shared sched:: primitives — one implementation under every
 // backend, waiters truly suspended. Exposed here under GLT-style names so
-// raw-backend code (no omp:: facade) writes to the spec's vocabulary;
-// glt::init registers the active backend's SuspendOps, which is what makes
-// these block natively instead of micro-sleeping.
+// raw-backend code (no omp:: facade) writes to the spec's vocabulary.
+// Inside a ULT every wait, timed or not, parks through the ULT engine
+// that glt::init starts; nothing micro-sleeps.
 using mutex = sched::Mutex;         ///< glt_mutex: FIFO-handoff ULT mutex
 using cond = sched::Condvar;        ///< glt_cond: condition variable
 using barrier = sched::Barrier;     ///< glt_barrier: sense-reversing, blocking

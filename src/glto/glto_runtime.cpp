@@ -84,8 +84,8 @@ struct TaskCtx {
   std::vector<glt::Ult*> children;
   /// Dependent children the engine is still withholding: submitted, but
   /// their ULT not yet created. join/taskwait must wait these out too —
-  /// the wake-up pushes the handle into `children` before decrementing.
-  std::atomic<std::int64_t> deferred{0};
+  /// the wake-up pushes the handle into `children` before counting down.
+  sched::CompletionLatch deferred;
   /// Innermost active taskgroup of this task (nullptr outside groups).
   TgScope* group = nullptr;
 
@@ -121,15 +121,6 @@ struct MemberArg {
   int tid;
   omp::RegionBody body;
 };
-
-// GLTO's waits no longer poll. Barriers, taskgroup ends, dep gates and
-// critical sections block on the sched:: primitives (Barrier,
-// CompletionLatch, Event, Mutex): the waiter ULT parks on an intrusive
-// wait list and the signaller re-deposits it through the core's
-// targeted-wake path. The one remaining polling wait is the
-// deferred-child join (handles are published by the dependency engine —
-// a foreign completion source with no wait queue) and the timed waits,
-// both of which go through sched::wait / sched::wait_until.
 
 class GltoRuntime;
 
@@ -441,7 +432,7 @@ class GltoRuntime final : public omp::Runtime {
       // The ULT is NOT created yet: the engine withholds the task until
       // its release counter hits zero, then the completing predecessor's
       // thread spawns it straight onto its own work-stealing deque.
-      c->deferred.fetch_add(1, std::memory_order_relaxed);
+      c->deferred.add(1);
       auto sub = dep_engine_.submit(arg, flags.depend.data(),
                                     flags.depend.size(), dep_domain(c));
       if (!sub.ready) return;  // wake-up owns arg from submit() onward
@@ -548,10 +539,9 @@ class GltoRuntime final : public omp::Runtime {
     TaskCtx* c = cur();
     TgScope* g = c->group;
     GLTO_CHECK_MSG(g != nullptr, "taskgroup_end without taskgroup_begin");
-    // Timed waits poll (there is no timed park on the latch); on timeout
-    // the group stays active/open — the caller cancels + drains it.
-    if (!sched::wait_until([g] { return g->latch.try_wait(); },
-                           common::now_ns() + timeout_us * 1000)) {
+    // On timeout the group stays active/open — the caller cancels and
+    // drains it.
+    if (!g->latch.wait_until(common::now_ns() + timeout_us * 1000)) {
       return false;
     }
     c->group = g->parent;
@@ -703,7 +693,7 @@ class GltoRuntime final : public omp::Runtime {
       // the decrement comes after full completion, so a join that reads
       // deferred==0 has nothing left to wait for.
       run_task_inline_now(arg);
-      parent->deferred.fetch_sub(1, std::memory_order_release);
+      parent->deferred.count_down();
       return;
     }
     Team* team = arg->team;
@@ -722,7 +712,7 @@ class GltoRuntime final : public omp::Runtime {
       common::SpinGuard g(parent->child_lock);
       parent->children.push_back(u);
     }
-    parent->deferred.fetch_sub(1, std::memory_order_release);
+    parent->deferred.count_down();
   }
 
   /// Dependency-engine wake-up: runs on the thread that completed the
@@ -788,7 +778,7 @@ class GltoRuntime final : public omp::Runtime {
           common::SpinGuard g(parents[k]->child_lock);
           parents[k]->children.push_back(handles[k]);
         }
-        parents[k]->deferred.fetch_sub(1, std::memory_order_release);
+        parents[k]->deferred.count_down();
       }
       pending = 0;
     }
@@ -799,21 +789,20 @@ class GltoRuntime final : public omp::Runtime {
   }
 
   /// Child join, optionally bounded by @p deadline_ns. Untimed mode joins
-  /// everything (blocking on in-flight children — ult_join suspends
-  /// natively in the backend). Timed mode only reaps children that have
-  /// already finished (glt::ult_is_done) — a blocking ult_join could
-  /// overshoot the budget by the child's whole runtime — and returns
-  /// false at the deadline; unfinished children go back into c->children
-  /// and are joined by the next untimed wait, so a timed-out join leaves
-  /// the task tree fully consistent.
-  ///
-  /// This is the one remaining polling wait in GLTO: while `deferred`
-  /// children are withheld by the dependency engine there is no handle to
-  /// join and no wait queue to park on — the WaitEngine steps let the
-  /// predecessors run, then escalate to bounded parks.
+  /// everything: ult_join parks on in-flight children, and while the
+  /// dependency engine still withholds children the join parks on
+  /// `deferred` until their handles are published. Timed mode only reaps
+  /// children that have already finished (glt::ult_is_done) — a blocking
+  /// ult_join could overshoot the budget by the child's whole runtime —
+  /// and sleeps through backoff_until between reaps, returning false at
+  /// the deadline; unfinished children go back into c->children and are
+  /// joined by the next untimed wait, so a timed-out join leaves the task
+  /// tree fully consistent.
   static bool join_children_until(TaskCtx* c, bool timed,
                                   std::int64_t deadline_ns) {
-    sched::WaitEngine wait;
+    // Reap cadence of a timed join: short against a task's runtime, long
+    // against one park.
+    constexpr std::int64_t kReapNs = 50'000;
     for (;;) {
       std::vector<glt::Ult*> grabbed;
       {
@@ -849,19 +838,19 @@ class GltoRuntime final : public omp::Runtime {
           }
         }
         if (progressed) continue;
-      } else if (c->deferred.load(std::memory_order_acquire) == 0) {
-        // A wake-up pushes the child handle *before* decrementing
-        // `deferred`, so after reading zero one locked re-check suffices.
+      } else if (c->deferred.try_wait()) {
+        // A wake-up pushes the child handle *before* counting down
+        // `deferred`, so after observing zero one locked re-check suffices.
         common::SpinGuard g(c->child_lock);
         if (c->children.empty()) return true;
         continue;
+      } else if (!timed) {
+        c->deferred.wait();  // withheld children: park until published
+        continue;
       }
-      if (timed) {
-        if (common::now_ns() >= deadline_ns) return false;
-        wait.step_until(deadline_ns);
-      } else {
-        wait.step();  // withheld children exist; let predecessors run
-      }
+      const std::int64_t now = common::now_ns();
+      if (now >= deadline_ns) return false;
+      sched::backoff_until(std::min(deadline_ns, now + kReapNs));
     }
   }
 

@@ -43,6 +43,7 @@
 #include "common/time.hpp"
 #include "omp/runtime.hpp"
 #include "sched/sync.hpp"
+#include "sched/ult_engine.hpp"
 #include "sched/watchdog.hpp"
 
 namespace glto::omp {
@@ -53,9 +54,10 @@ namespace glto::omp {
 // re-exported as the application-facing names. A waiter suspends for
 // real — it parks on the primitive's wait list and the signaller
 // re-deposits it through the core's targeted-wake path; no sleep
-// quantum, no lost wakeups. On contexts that cannot suspend (the
-// pthread runtimes, tasklets, foreign OS threads) the same calls
-// degrade to a work-conserving OS-thread park. Payloads ship by
+// quantum, no lost wakeups. Timed waits park the same way with a
+// deadline. On contexts that cannot suspend (the pthread runtimes,
+// tasklets, foreign OS threads) the same calls degrade to an OS-thread
+// park. Payloads ship by
 // descriptor (channel<T> requires trivially-copyable T) — no
 // std::function anywhere on the signalling path.
 using event = sched::Event;              ///< one-shot wait-queue event
@@ -291,10 +293,11 @@ struct FutureState<void> {
 /// is a first-class result, not a hang.
 enum class FutureStatus : std::uint8_t { ready, timeout };
 
-/// Handle to the result of an omp::task_ret task. Completion is observed
-/// by polling the runtime's scheduling machinery: wait() yields the
-/// calling ULT (GLTO) or runs queued tasks in place (pthread runtimes) —
-/// the same cooperative progress rule as taskwait, but for one task.
+/// Handle to the result of an omp::task_ret task. On a ULT (GLTO) wait()
+/// parks on the state's event, with a deadline for wait_until/wait_for;
+/// the pthread runtimes run queued tasks in place between completion
+/// probes — the same cooperative progress rule as taskwait, but for one
+/// task.
 /// Exceptions thrown by the task body are transported and rethrown from
 /// get(). Move-only; get() consumes the handle.
 template <class T>
@@ -331,51 +334,23 @@ class future {
   /// call before or after completion; the handle stays valid for get().
   void wait() {
     if (st_ == nullptr) return;  // moved-from / consumed: nothing to wait on
-    if (st_->done.load(std::memory_order_acquire)) return;
-    if (sched::current_suspend_ops() != nullptr) {
-      st_->done_ev.wait();
-      return;
-    }
-    sched::watchdog_enter_wait();
-    while (!st_->done.load(std::memory_order_acquire)) {
-      if (selected()) {
-        Runtime& rt = runtime();
-        rt.taskyield();
-        // taskyield on the pthread runtimes only runs a queued task when
-        // one exists — it has no backoff of its own. The polite wait
-        // hint honours the configured wait policy, so an empty-queue
-        // spin doesn't run hot and starve the member executing the task
-        // on oversubscribed hosts.
-        rt.yield_hint();
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    sched::watchdog_exit_wait();
+    (void)wait_ns(common::kNoDeadline);
   }
 
-  /// Timed wait over sched::wait_until, bounded by an absolute deadline.
-  /// Returns FutureStatus::ready when the task completed,
-  /// FutureStatus::timeout once @p deadline passed with the task still
-  /// running — the handle stays valid either way (the task keeps running
-  /// after a timeout; wait()/get() can still join it). An empty handle
-  /// reports ready: there is nothing left to wait on.
+  /// wait() bounded by an absolute deadline. Returns FutureStatus::ready
+  /// when the task completed, FutureStatus::timeout once @p deadline
+  /// passed with the task still running — the handle stays valid either
+  /// way (the task keeps running after a timeout; wait()/get() can still
+  /// join it). An empty handle reports ready: there is nothing left to
+  /// wait on.
   FutureStatus wait_until(std::chrono::steady_clock::time_point deadline) {
     if (st_ == nullptr) return FutureStatus::ready;
-    if (st_->done.load(std::memory_order_acquire)) return FutureStatus::ready;
     const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           deadline - std::chrono::steady_clock::now())
                           .count();
-    const bool ready = sched::wait_until(
-        [this] {
-          if (st_->done.load(std::memory_order_acquire)) return true;
-          // Keep the pthread runtimes draining their queues between
-          // steps (on GLTO this is one extra cooperative yield).
-          if (selected()) runtime().taskyield();
-          return st_->done.load(std::memory_order_acquire);
-        },
-        common::now_ns() + (left > 0 ? left : 0));
-    return ready ? FutureStatus::ready : FutureStatus::timeout;
+    return wait_ns(common::now_ns() + (left > 0 ? left : 0))
+               ? FutureStatus::ready
+               : FutureStatus::timeout;
   }
 
   /// Relative-timeout form of wait_until.
@@ -404,6 +379,30 @@ class future {
   }
 
  private:
+  /// wait() until @p deadline_ns (common::now_ns clock); true when done.
+  bool wait_ns(std::int64_t deadline_ns) {
+    if (st_->done.load(std::memory_order_acquire)) return true;
+    if (sched::ult::in_ult()) return st_->done_ev.wait_until(deadline_ns);
+    sched::watchdog_enter_wait();
+    while (!st_->done.load(std::memory_order_acquire) &&
+           common::now_ns() < deadline_ns) {
+      if (selected()) {
+        Runtime& rt = runtime();
+        rt.taskyield();
+        // taskyield on the pthread runtimes only runs a queued task when
+        // one exists — it has no backoff of its own. The polite wait
+        // hint honours the configured wait policy, so an empty-queue
+        // spin doesn't run hot and starve the member executing the task
+        // on oversubscribed hosts.
+        rt.yield_hint();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    sched::watchdog_exit_wait();
+    return st_->done.load(std::memory_order_acquire);
+  }
+
   void reset() {
     if (st_ != nullptr) {
       detail::FutureState<T>::unref(st_);

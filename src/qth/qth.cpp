@@ -226,10 +226,9 @@ struct FebWait {
 
 /// Park callback: registers the parked qthread as a waiter, or performs
 /// the op if the word changed meanwhile (then the engine re-readies it).
-bool feb_park_cb(void* arg, void* handle) {
+bool feb_park_cb(void* arg, Record* r) {
   const FebWait& w = *static_cast<const FebWait*>(arg);
-  return !feb_register_or_complete(static_cast<Record*>(handle), w.op, w.addr,
-                                   w.dst, w.val);
+  return !feb_register_or_complete(r, w.op, w.addr, w.dst, w.val);
 }
 
 }  // namespace

@@ -8,22 +8,26 @@
 // re-deposits it onto a worker deque through the core's targeted-wake
 // path. No sleep quantum, no lost wakeups.
 //
-// Backend coupling is a five-function vtable (SuspendOps) the ULT engine
-// (sched/ult_engine.hpp) registers at init: `suspend(cb, arg)` switches
-// away, runs `cb` on the receiving side — *after* the waiter's context is
-// fully saved — and `cb` enqueues the waiter under the primitive's lock
-// with a re-check of the wait condition (the engine's park protocol, which
-// joins and qth's FEB ops use too). `cb` returning false means the condition was
-// already satisfied and the scheduler re-readies the waiter immediately;
-// returning true hands ownership of the handle to the eventual
-// signaller, which resumes it with `resume(handle)`.
+// Every wait, timed or not, goes through one park_current. On a ULT it
+// suspends through the ULT engine's park protocol (sched/ult_engine.hpp),
+// which joins and qth's FEB ops use too: the engine runs the park
+// callback on the receiving side — *after* the waiter's context is fully
+// saved — and the callback enqueues the waiter under the primitive's lock
+// with a re-check of the wait condition. A condition already satisfied
+// aborts the park and the engine re-readies the waiter at once;
+// otherwise the eventual signaller owns the waiter and resumes it.
+//
+// A timed wait is the same park with a deadline. The engine arms it on
+// the parking worker's timer list and, once it passes, runs the cancel
+// callback, which unlinks the node under the primitive's lock. The
+// signaller wins every race: a node it already popped is not cancelled,
+// and the wait reports `signaled`.
 //
 // Contexts that cannot suspend (foreign OS threads, tasklets, the
-// pthread runtimes) fall back to a work-conserving park on the calling
-// thread's Parker: the signaller banks a permit, so the wake is never
-// lost and never waits out a timeout quantum; between parks the waiter
-// drains runnable units via the registered engine's maybe_work so a
-// stackless context blocking on a primitive cannot wedge its worker.
+// pthread runtimes) park the calling thread's Parker until the node is
+// signaled or the deadline passes, then cancel under the primitive's
+// lock. The signaller banks a permit, so the wake is never lost and
+// never waits out a timeout quantum.
 #pragma once
 
 #include <atomic>
@@ -35,36 +39,13 @@
 #include "common/parker.hpp"
 #include "common/spin.hpp"
 #include "common/thread_safety.hpp"
+#include "common/time.hpp"
 
 namespace glto::sched {
 
-// ------------------------------------------------------------ SuspendOps
-
-/// Enqueue-under-lock callback run on the scheduler stack after the
-/// waiter's context is saved. @p handle is the backend's record for the
-/// suspended context. Return true to park (the signaller now owns the
-/// handle and must resume() it exactly once); false to abort the park
-/// (condition already satisfied — the scheduler re-readies the waiter).
-using SuspendCb = bool (*)(void* arg, void* handle);
-
-/// Suspension vtable. Registered at backend init, unregistered at
-/// finalize; raw-backend users (no glt:: facade) get the same blocking
-/// behaviour.
-struct SuspendOps {
-  bool (*can_suspend)();                    ///< caller can capture a continuation
-  void (*suspend)(SuspendCb cb, void* arg); ///< park current ULT via cb
-  void (*resume)(void* handle);             ///< re-deposit a parked handle
-  void (*yield)();                          ///< cooperative yield
-  bool (*maybe_work)();                     ///< probe: anything runnable here?
-};
-
-void register_suspend_ops(const SuspendOps* ops);
-void unregister_suspend_ops(const SuspendOps* ops);
-
-/// The vtable to suspend the *calling context* through: first registered
-/// backend whose can_suspend() is true, nullptr when the caller must use
-/// the Parker fallback.
-[[nodiscard]] const SuspendOps* current_suspend_ops();
+namespace ult {
+struct Record;
+}  // namespace ult
 
 /// Counters for the metrics registry: contexts actually parked on a wait
 /// list, and parked contexts handed straight back to a worker deque by a
@@ -77,12 +58,12 @@ void unregister_suspend_ops(const SuspendOps* ops);
 [[nodiscard]] std::uint64_t timed_waits();
 [[nodiscard]] std::uint64_t timed_wait_timeouts();
 
-/// Work-conserving bounded backoff for retry loops (the lint-sanctioned
-/// replacement for naked sleeps): runs the WaitEngine ladder — spin,
-/// yield, drain runnable units, escalating micro-parks — until
-/// @p deadline_ns (common::now_ns clock) has passed.
+/// Bounded backoff for retry loops (the lint-sanctioned replacement for
+/// naked sleeps): a timed park with no wait list, returning once
+/// @p deadline_ns (common::now_ns clock) has passed. A ULT suspends and
+/// its worker runs other units meanwhile; any other context parks its
+/// thread.
 void backoff_until(std::int64_t deadline_ns);
-void backoff_for_us(std::int64_t us);
 
 // -------------------------------------------------------------- WaitNode
 
@@ -90,8 +71,7 @@ void backoff_for_us(std::int64_t us);
 /// wait; the signaller must copy every field it needs into locals before
 /// resuming/unparking, because the node dies the instant the waiter runs.
 struct WaitNode {
-  void* handle = nullptr;             ///< backend record (ULT path)
-  const SuspendOps* ops = nullptr;    ///< backend to resume through
+  ult::Record* handle = nullptr;      ///< the parked unit (ULT path)
   common::Parker* parker = nullptr;   ///< fallback path (thread-local, immortal)
   std::atomic<bool> signaled{false};
   WaitNode* next = nullptr;
@@ -127,8 +107,8 @@ struct WaitList {
     return n;
   }
   /// Unlinks @p n if it is still queued; false when a signaller already
-  /// popped it. Timed waiters call this under the primitive's lock to
-  /// cancel — the lock arbitrates the timeout-vs-signal race.
+  /// popped it. A timed-out wait is cancelled with this under the
+  /// primitive's lock — the lock arbitrates the timeout-vs-signal race.
   bool remove(WaitNode* n) {
     WaitNode* prev = nullptr;
     for (WaitNode* cur = head; cur != nullptr; prev = cur, cur = cur->next) {
@@ -165,28 +145,24 @@ struct ParkOp {
   void* ctx = nullptr;
   void* ctx2 = nullptr;
   WaitList* cancel_list = nullptr;  ///< timed waits: list to unlink from
+  bool timed = false;               ///< set by park_current
 };
 
-/// Blocks the caller until its node is signaled (ULT suspension when the
-/// context supports it, work-conserving Parker park otherwise). Returns
-/// true if the caller actually parked, false if try_enqueue aborted.
-bool park_current(ParkOp& op);
-
-/// Outcome of a deadline-bounded park.
-enum class TimedPark {
+/// Outcome of a park.
+enum class ParkResult {
   aborted,   ///< try_enqueue observed the condition satisfied; never parked
   signaled,  ///< a signaller detached and woke the node
-  timeout,   ///< deadline passed; the waiter unlinked its own node
+  timeout,   ///< deadline passed; the node was unlinked from cancel_list
 };
 
-/// Deadline-bounded variant of park_current. op.cancel_list must point at
-/// the wait list try_enqueue pushes onto. The waiter never suspends
-/// through a backend (nothing would resume it at the deadline); it
-/// enqueues a Parker-backed node and polls it through the WaitEngine's
-/// deadline clamp, so ULT callers stay work-conserving while they wait.
-/// On timeout the node is unlinked under the primitive's lock; a signal
-/// that already detached the node wins and the call reports `signaled`.
-TimedPark timed_park_current(ParkOp& op, std::int64_t deadline_ns);
+/// The one park path: blocks the caller until its node is signaled or
+/// @p deadline_ns (common::now_ns clock) passes — ULT suspension when the
+/// caller is a ULT, a Parker park otherwise. A timed wait must point
+/// op.cancel_list at the wait list try_enqueue pushes onto; a signal
+/// that already detached the node wins over the deadline. A listless op
+/// (no lock: backoff_until) always parks and always times out.
+ParkResult park_current(ParkOp& op,
+                        std::int64_t deadline_ns = common::kNoDeadline);
 
 /// Wakes one parked waiter. Must be called with the primitive's lock
 /// *released* and the node already unlinked; reads everything it needs
@@ -195,14 +171,6 @@ void wake_node(WaitNode* n);
 
 /// Wakes a detached chain (detach_all), FIFO order.
 void wake_list(WaitNode* head);
-
-/// Probes the registered backends: true when the calling thread has
-/// runnable units it could reach by yielding (the probe does not execute
-/// anything itself — follow with yield_some()).
-bool run_some_work();
-
-/// Cooperative yield through the best available backend.
-void yield_some();
 
 }  // namespace sync_detail
 
@@ -225,7 +193,7 @@ class Event {
   Event& operator=(const Event&) = delete;
 
   void set();
-  void wait();
+  void wait() { (void)wait_until(common::kNoDeadline); }
   /// Waits until set or @p deadline_ns (common::now_ns clock). Returns
   /// is_set at return: true on signal, false on timeout. A timeout
   /// invalidates nothing — the waiter may re-wait, and a set() that lands
@@ -377,7 +345,7 @@ class CompletionLatch {
   void count_down(std::int64_t n = 1);
   /// True when the count is zero (locked read — see class comment).
   [[nodiscard]] bool try_wait();
-  void wait();
+  void wait() { (void)wait_until(common::kNoDeadline); }
   /// Waits for zero until @p deadline_ns (common::now_ns clock). True
   /// when the count reached zero (a locked observation, so the
   /// destruction protocol holds); false on timeout — the latch is
@@ -431,52 +399,6 @@ class Barrier {
   WaitList waiters_ GLTO_GUARDED_BY(lock_);
 };
 
-// ----------------------------------------------------- polling wait/until
-
-/// Backoff engine behind sched::wait / sched::wait_until — the one
-/// remaining *polling* wait, for predicates with no wait queue to park on
-/// (timed waits against foreign completion sources). Spins briefly,
-/// yields, drains runnable units, then parks in escalating micro-sleeps
-/// (20 µs … 200 µs). Watchdog-bracketed; chaos-delay aware.
-class WaitEngine {
- public:
-  WaitEngine();
-  ~WaitEngine();
-  WaitEngine(const WaitEngine&) = delete;
-  WaitEngine& operator=(const WaitEngine&) = delete;
-
-  void step();
-  /// One step that never sleeps past @p deadline_ns (common::now_ns
-  /// clock). Returns false once the deadline has passed.
-  bool step_until(std::int64_t deadline_ns);
-
- private:
-  std::uint32_t spins_ = 0;
-  std::uint32_t yields_ = 0;
-  std::int64_t sleep_us_ = 0;
-};
-
-/// Polls @p pred to true with adaptive backoff.
-template <typename Pred>
-void wait(Pred&& pred) {
-  if (pred()) return;
-  WaitEngine e;
-  while (!pred()) e.step();
-}
-
-/// Polls @p pred until true or @p deadline_ns (common::now_ns clock).
-/// Returns the predicate's final value — callers' handles stay valid on
-/// timeout; nothing is consumed or invalidated.
-template <typename Pred>
-bool wait_until(Pred&& pred, std::int64_t deadline_ns) {
-  if (pred()) return true;
-  WaitEngine e;
-  while (!pred()) {
-    if (!e.step_until(deadline_ns)) return pred();
-  }
-  return true;
-}
-
 // --------------------------------------------------------------- Channel
 
 /// Bounded MPMC channel for trivially copyable payloads (descriptor-first
@@ -496,34 +418,8 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  bool send(const T& v) {
-    m_.lock();
-    while (count_ == cap_ && !closed_) not_full_.wait(m_);
-    if (closed_) {
-      m_.unlock();
-      return false;
-    }
-    buf_[(head_ + count_) % cap_] = v;
-    ++count_;
-    m_.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  bool recv(T& out) {
-    m_.lock();
-    while (count_ == 0 && !closed_) not_empty_.wait(m_);
-    if (count_ == 0) {
-      m_.unlock();
-      return false;  // closed and drained
-    }
-    out = buf_[head_];
-    head_ = (head_ + 1) % cap_;
-    --count_;
-    m_.unlock();
-    not_full_.notify_one();
-    return true;
-  }
+  bool send(const T& v) { return send_until(v, common::kNoDeadline); }
+  bool recv(T& out) { return recv_until(out, common::kNoDeadline); }
 
   /// send() with a deadline (common::now_ns clock): false when the
   /// channel stayed full past @p deadline_ns or was closed — the item was

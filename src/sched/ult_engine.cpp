@@ -1,6 +1,11 @@
 #include "sched/ult_engine.hpp"
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include <algorithm>
+#include <memory>
 #include <new>
 #include <thread>
 #include <vector>
@@ -9,6 +14,7 @@
 #include "common/debug.hpp"
 #include "common/spin.hpp"
 #include "common/thread_safety.hpp"
+#include "common/time.hpp"
 #include "sched/freelist.hpp"
 #include "sched/watchdog.hpp"
 
@@ -18,13 +24,60 @@ namespace {
 
 enum class Dir : std::uint8_t { Resume, Yield, Park, Done, Spawn, Migrate };
 
+struct TimerList;
+
+/// A parked unit's deadline. Lives in park()'s frame on the unit's stack.
+struct Timer {
+  std::int64_t deadline_ns;
+  CancelCb cancel;
+  void* arg;
+  Record* rec = nullptr;
+  TimerList* list = nullptr;  ///< the worker list it is armed on
+  Timer* next = nullptr;
+  bool linked = false;
+  bool fired = false;  ///< the deadline won; set under the list lock
+};
+
+/// One worker's parked units with deadlines, sorted by deadline. Only the
+/// owning worker arms and fires timers; a resumed unit unlinks its own.
+struct alignas(common::kCacheLine) TimerList {
+  common::SpinLock lock;
+  Timer* head GLTO_GUARDED_BY(lock) = nullptr;
+  /// head's deadline, for the owner's lock-free "anything due?" check.
+  std::atomic<std::int64_t> next{common::kNoDeadline};
+
+  void insert(Timer* t) GLTO_REQUIRES(lock) {
+    Timer** at = &head;
+    while (*at != nullptr && (*at)->deadline_ns <= t->deadline_ns) {
+      at = &(*at)->next;
+    }
+    t->next = *at;
+    *at = t;
+    t->linked = true;
+    publish();
+  }
+  /// Firing pops the head; only a resumed unit unlinks from the middle.
+  void unlink(Timer* t) GLTO_REQUIRES(lock) {
+    Timer** at = &head;
+    while (*at != t) at = &(*at)->next;
+    *at = t->next;
+    t->linked = false;
+    publish();
+  }
+  void publish() GLTO_REQUIRES(lock) {
+    next.store(head != nullptr ? head->deadline_ns : common::kNoDeadline,
+               std::memory_order_relaxed);
+  }
+};
+
 /// What a switching unit tells the side that receives control.
 struct SwitchMsg {
   Dir dir;
   Record* self;               ///< the sender
   Record* resumee = nullptr;  ///< the unit this jump enters
-  SuspendCb cb = nullptr;     ///< Park: register-or-complete callback
+  ParkCb cb = nullptr;        ///< Park: register-or-complete callback
   void* cb_arg = nullptr;
+  Timer* timer = nullptr;     ///< Park with a deadline
 };
 
 Record* const kJoinerSentinel = reinterpret_cast<Record*>(std::uintptr_t(1));
@@ -34,7 +87,7 @@ constexpr std::uint64_t kStealSeed = 0x9e3779b97f4a7c15ULL;
 struct Engine {
   Engine(const Personality& pers, int n_in, bool shared, bool bind_in)
       : p(&pers), n(n_in), bind(bind_in), core(WsCoreConfig{n_in, shared}),
-        free(n_in) {}
+        free(n_in), timers(new TimerList[static_cast<std::size_t>(n_in)]) {}
   const Personality* p;
   const int n;
   const bool bind;
@@ -42,6 +95,7 @@ struct Engine {
   /// pinned: only rank 0 pops it, so finalize always runs where init did.
   WsCore<Record*> core;
   Freelist<Record> free;
+  std::unique_ptr<TimerList[]> timers;  ///< one per worker
   std::vector<std::thread> workers;
   Record* main = nullptr;
   /// Stack of rank 0's scheduler context, built the first time the main
@@ -50,6 +104,7 @@ struct Engine {
   fctx::Stack primary_stack;
   std::uint64_t watchdog_token = 0;
   std::uint64_t stack_hits_at_init = 0;
+  long init_thread_slack = 0;  ///< restored on the init thread at finalize
   std::atomic<std::uint64_t> created{0};
   std::atomic<std::uint64_t> tasklets{0};
   std::atomic<std::uint64_t> yields{0};
@@ -123,6 +178,42 @@ void run_body(Record* r) {
   }
 }
 
+/// Fires worker @p rank's due timers and returns its earliest remaining
+/// deadline. Runs wherever the worker picks its next unit.
+std::int64_t fire_due(int rank) {
+  TimerList& l = g->timers[static_cast<std::size_t>(rank)];
+  const std::int64_t next = l.next.load(std::memory_order_relaxed);
+  if (next == common::kNoDeadline) return next;
+  const std::int64_t now = common::now_ns();
+  if (now < next) return next;
+  common::SpinGuard guard(l.lock);
+  while (l.head != nullptr && l.head->deadline_ns <= now) {
+    Timer* t = l.head;
+    l.unlink(t);
+    if (t->cancel(t->arg)) {
+      t->fired = true;
+      make_ready(t->rec, /*fifo=*/false, rank);
+    }
+  }
+  return l.next.load(std::memory_order_relaxed);
+}
+
+/// Parks the sender of @p m with its deadline on worker @p rank: cb runs
+/// and the timer is armed under the list lock, so the deadline cannot fire
+/// in between. Once cb has parked the unit a waker may resume it, and its
+/// stack (where @p m lives) may be reused: from then on only the timer,
+/// which park() keeps alive until it gets the list lock, is touched.
+bool arm(const SwitchMsg& m, int rank) {
+  Timer* t = m.timer;
+  TimerList& l = g->timers[static_cast<std::size_t>(rank)];
+  t->rec = m.self;
+  t->list = &l;
+  common::SpinGuard guard(l.lock);
+  if (!m.cb(m.cb_arg, m.self)) return false;
+  l.insert(t);
+  return true;
+}
+
 /// Handles the directive a unit sent when it switched away. Runs on the
 /// receiving side (a scheduler loop, or under work-first the next unit) on
 /// worker @p rank, after the sender's context is saved in @p from. Every
@@ -142,7 +233,9 @@ inline void process(const SwitchMsg& m, fctx::fcontext_t from, int rank) {
       break;
     case Dir::Park:
       self->ctx = from;
-      if (!m.cb(m.cb_arg, self)) make_ready(self, /*fifo=*/false, rank);
+      if (!(m.timer != nullptr ? arm(m, rank) : m.cb(m.cb_arg, self))) {
+        make_ready(self, /*fifo=*/false, rank);
+      }
       break;
     case Dir::Done:
       fctx::StackPool::global().release(self->stack);
@@ -188,18 +281,20 @@ void bind_stack(Record* r) {
 /// suspension point. Takes scalars, not a SwitchMsg: the message is built
 /// once, here, where the receiving side reads it.
 __attribute__((noinline)) void leave(Dir dir, Record* self,
-                                     SuspendCb cb = nullptr,
-                                     void* cb_arg = nullptr) {
+                                     ParkCb cb = nullptr,
+                                     void* cb_arg = nullptr,
+                                     Timer* timer = nullptr) {
   Tls& t = tls;  // pre-switch: still the caller's own thread
-  SwitchMsg msg{dir, self, nullptr, cb, cb_arg};
+  SwitchMsg msg{dir, self, nullptr, cb, cb_arg, timer};
   GLTO_CHECK_MSG(self != nullptr, "suspend outside a ULT");
   GLTO_CHECK_MSG(!self->stackless,
                  "tasklets are stackless and cannot suspend (no yield-wait "
                  "or blocking join inside a tasklet)");
-  Record* next = g->p->work_first
-                     ? g->core.try_next(t.rank, &t.tick, t.rng,
-                                        /*with_main=*/t.rank == 0)
-                     : nullptr;
+  Record* next = nullptr;
+  if (g->p->work_first) {
+    (void)fire_due(t.rank);
+    next = g->core.try_next(t.rank, &t.tick, t.rng, /*with_main=*/t.rank == 0);
+  }
   fctx::fcontext_t to;
   fctx::StackRegion region;
   if (next != nullptr) {
@@ -268,12 +363,18 @@ void run_unit(Tls& t, Record* r) {
 
 /// The scheduler loop, shared by every worker and rank 0's primary
 /// context. A loop is only ever resumed on its own thread, so `t` stays
-/// valid; it exits when the core reports shutdown.
+/// valid; it fires due timers before every acquire and exits when the
+/// core reports shutdown.
 void sched_loop() {
   Tls& t = tls;
   AcquireState st(kStealSeed + static_cast<std::uint64_t>(t.rank));
-  while (Record* r = g->core.acquire(t.rank, st, /*with_main=*/t.rank == 0)) {
-    run_unit(t, r);
+  for (;;) {
+    st.deadline_ns = fire_due(t.rank);
+    if (Record* r = g->core.acquire(t.rank, st, /*with_main=*/t.rank == 0)) {
+      run_unit(t, r);
+    } else if (g->core.shutdown_requested()) {
+      return;
+    }
   }
 }
 
@@ -284,7 +385,22 @@ void primary_entry(fctx::transfer_t t) {
   GLTO_CHECK_MSG(false, "primary scheduler exited while runtime is alive");
 }
 
+/// Sets the calling thread's timer slack and returns the previous one.
+/// Engine threads wait out parked units' deadlines in timed idle parks;
+/// at Linux's default 50 µs slack those fire ~50 µs late (a 50 µs timed
+/// wait on an idle worker read 62 µs late at p50, 10 µs at 1 ns slack).
+long set_timer_slack(long ns) {
+#if defined(__linux__)
+  const long old = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  (void)prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(ns), 0, 0, 0);
+  return old;
+#else
+  return ns;
+#endif
+}
+
 void worker_main(int rank) {
+  (void)set_timer_slack(1);
   tls.rank = rank;
   tls.sched_stack = fctx::os_thread_stack();  // the loop runs right here
   tls.rng = common::FastRng(kStealSeed + static_cast<std::uint64_t>(rank));
@@ -295,20 +411,13 @@ void worker_main(int rank) {
 
 void dump_core_state(void*) { g->core.dump_state(g->p->name); }
 
-bool join_cb(void* target, void* handle) {
+bool join_cb(void* target, Record* joiner) {
   auto* r = static_cast<Record*>(target);
   Record* expected = nullptr;
   return !r->done.load(std::memory_order_acquire) &&
-         r->joiner.compare_exchange_strong(expected,
-                                           static_cast<Record*>(handle),
+         r->joiner.compare_exchange_strong(expected, joiner,
                                            std::memory_order_acq_rel);
 }
-
-// ------------------------------------------------- sched::SuspendOps bridge
-
-void ops_resume(void* handle) { resume(static_cast<Record*>(handle)); }
-
-constexpr SuspendOps kSuspendOps{in_ult, park, ops_resume, yield, maybe_work};
 
 // Record storage: blocks carved from aligned slabs. Freed blocks are kept
 // on a list for reuse; slabs are never returned (records themselves
@@ -370,7 +479,7 @@ void init(const Personality& p, int num_workers, bool shared_pool,
   tls.rng = common::FastRng(kStealSeed);
   tls.current = g->main;
   if (bind_threads) common::bind_self_to_core(0);
-  register_suspend_ops(&kSuspendOps);
+  g->init_thread_slack = set_timer_slack(1);
   for (int r = 1; r < n; ++r) g->workers.emplace_back(worker_main, r);
 }
 
@@ -384,11 +493,11 @@ void finalize() {
     leave(Dir::Migrate, self);
     GLTO_CHECK(tls_now().rank == 0);
   }
-  unregister_suspend_ops(&kSuspendOps);
   watchdog_unregister_dumper(g->watchdog_token);
   g->core.request_shutdown();
   for (auto& w : g->workers) w.join();
   fctx::StackPool::global().release(g->primary_stack);
+  (void)set_timer_slack(g->init_thread_slack);
   delete g->main;
   tls_now() = Tls{};
   delete g;  // the Freelist dtor frees every recycled record
@@ -475,13 +584,26 @@ void join(Record* r) {
 void yield() {
   Record* self = tls.current;
   if (self == nullptr || self->stackless) return;  // tasklets run to completion
-  if (g->p->work_first && !maybe_work()) return;  // nothing else to run
+  if (g->p->work_first) {
+    (void)fire_due(tls.rank);
+    if (!maybe_work()) return;  // nothing else to run
+  }
   g->yields.fetch_add(1, std::memory_order_relaxed);
   leave(Dir::Yield, self);
 }
 
-void park(SuspendCb cb, void* arg) {
-  leave(Dir::Park, tls.current, cb, arg);
+bool park(ParkCb cb, void* arg, std::int64_t deadline_ns, CancelCb cancel) {
+  if (deadline_ns == common::kNoDeadline) {
+    leave(Dir::Park, tls.current, cb, arg);
+    return false;
+  }
+  Timer t{deadline_ns, cancel, arg};
+  leave(Dir::Park, tls.current, cb, arg, &t);
+  // Resumed, by a waker or by the timer: unlink the timer, waiting out a
+  // firing that may still hold it.
+  common::SpinGuard guard(t.list->lock);
+  if (t.linked) t.list->unlink(&t);
+  return t.fired;
 }
 
 void resume(Record* r) { make_ready(r, /*fifo=*/false, tls_now().rank); }

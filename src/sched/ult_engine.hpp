@@ -6,9 +6,8 @@
 // semantics lives here, once: the work-unit record and its lifecycle,
 // the per-thread block, the worker threads, the scheduler loop, the
 // primary thread's scheduler context, the context-switch protocol, and
-// the sched::SuspendOps bridge the sync primitives block through. A
-// personality (Personality) is a name, a body hook and two flags over
-// this API.
+// the one park path every blocking wait suspends through. A personality
+// (Personality) is a name, a body hook and two flags over this API.
 //
 // Record lifecycle. alloc() takes a record from the per-worker freelist
 // (or the heap), resets every field and counts the creation; submit() /
@@ -22,14 +21,30 @@
 // hold a stack.
 //
 // Park protocol. Every blocking wait — a join, a qth FEB op, a sched::
-// sync primitive — suspends through park(cb, arg): the unit switches
-// away, and the side that receives control runs cb(arg, record) *after*
-// the unit's context is saved. cb registers the unit with whatever will
-// wake it, re-checking the wait condition under that thing's lock: true
-// means "parked, the waker now owns the record and must resume() it
-// exactly once"; false means the condition already holds and the engine
-// re-readies the unit itself. No wakeup can fall between the check and
-// the registration, and no waker can resume a half-saved context.
+// sync primitive, a timed wait or a backoff — suspends through
+// park(cb, arg, deadline, cancel): the unit switches away, and the side
+// that receives control runs cb(arg, record) *after* the unit's context
+// is saved. cb registers the unit with whatever will wake it, re-checking
+// the wait condition under that thing's lock: true means "parked, the
+// waker now owns the record and must resume() it exactly once"; false
+// means the condition already holds and the engine re-readies the unit
+// itself. No wakeup can fall between the check and the registration, and
+// no waker can resume a half-saved context.
+//
+// Deadlines. A park with a deadline is also armed on the receiving
+// worker's timer list, a sorted list of that worker's parked units with
+// deadlines. cb runs and the timer is armed while that list's lock is
+// held, so the deadline cannot fire between the registration and the
+// arming. The worker fires due timers wherever it picks its next unit
+// (its scheduler loop, and a work-first hand-off), and its idle park
+// never outlasts its earliest deadline; engine threads run at minimal
+// timer slack so that park ends on time. Firing takes the list lock, then
+// calls cancel(arg), which unlinks the unit from its waker under the
+// waker's lock: true means the timeout won and the engine resumes the
+// unit; false means a waker already owns it and the timer does nothing.
+// The waker wins every race. A resumed unit removes its own timer under
+// the list lock before park() returns, so no timer outlives the parked
+// frame, and the unit waits out any firing still touching it.
 //
 // Switch protocol. A switch carries a message naming the sender and its
 // directive: Resume (a scheduler loop starts or resumes a unit), Yield,
@@ -59,7 +74,6 @@
 #include "fctx/fcontext.hpp"
 #include "fctx/stack_pool.hpp"
 #include "sched/metrics.hpp"
-#include "sched/sync.hpp"
 #include "sched/ws_core.hpp"
 
 namespace glto::sched::ult {
@@ -152,8 +166,18 @@ Record* spawn(WorkFn fn, void* arg);
 /// thread), then recycles it.
 void join(Record* r);
 void yield();
-/// Park protocol (see the header comment). Call only when in_ult().
-void park(SuspendCb cb, void* arg);
+/// Register-or-complete callback of the park protocol, run on the
+/// receiving side with the parked unit's record.
+using ParkCb = bool (*)(void* arg, Record* r);
+/// Timeout callback: unlinks the unit from its waker; true when the
+/// timeout won (see the header comment).
+using CancelCb = bool (*)(void* arg);
+/// Park protocol (see the header comment). Call only when in_ult(). With
+/// a deadline (common::now_ns clock) the engine resumes the unit once it
+/// passes, unless a waker resumed it first. Returns true when the
+/// deadline fired.
+bool park(ParkCb cb, void* arg, std::int64_t deadline_ns = common::kNoDeadline,
+          CancelCb cancel = nullptr);
 /// Re-readies a parked unit. Any thread, including foreign ones.
 void resume(Record* r);
 

@@ -91,10 +91,14 @@ inline constexpr std::int64_t kParkMinUs = 200;
 inline constexpr std::int64_t kParkMaxUs = 2000;
 
 /// Per-loop acquire state: pop-fairness tick, idle backoff, main-slot
-/// alternation, and the steal-victim RNG. One per scheduler loop, owned by
-/// the loop (stack or TLS) — never shared between OS threads.
+/// alternation, the steal-victim RNG, and the loop's earliest timer
+/// deadline. One per scheduler loop, owned by the loop (stack or TLS) —
+/// never shared between OS threads.
 struct AcquireState {
   explicit AcquireState(std::uint64_t seed) : rng(common::mix64(seed)) {}
+  /// The loop's earliest parked-unit deadline (common::now_ns clock):
+  /// acquire never parks past it and returns T{} once it has passed.
+  std::int64_t deadline_ns = common::kNoDeadline;
   unsigned tick = 0;
   int idle = 0;
   std::int64_t park_us = kParkMinUs;
@@ -325,8 +329,10 @@ class WsCore {
 
   /// Blocking acquire for worker loops: drains @p rank's pool, steals when
   /// idle, parks briefly (spin → yield → advertise-idle → adaptive park)
-  /// when there is nothing to steal. Returns T{} only when shutdown was
-  /// requested and a full pop + steal probe found nothing. @p with_main on
+  /// when there is nothing to steal. Returns T{} when a full pop + steal
+  /// probe found nothing and either shutdown was requested or
+  /// st.deadline_ns has passed (the loop then fires its due timers and
+  /// calls again); no park outlasts st.deadline_ns. @p with_main on
   /// the worker-0 loop alternates fairly between the main slot and the
   /// regular pool: strict priority either way starves someone (main-first
   /// starves yielded-to pool work; pool-first starves main when a
@@ -369,7 +375,10 @@ class WsCore {
         st.wake_pending = false;
         c.wakes_spurious.fetch_add(1, std::memory_order_relaxed);
       }
-      if (shutdown_.load(std::memory_order_acquire)) {
+      const bool timed = st.deadline_ns != common::kNoDeadline;
+      const std::int64_t now = timed ? common::now_ns() : 0;
+      if (shutdown_.load(std::memory_order_acquire) ||
+          (timed && now >= st.deadline_ns)) {
         if (st.advertised) {
           idle_clear(rank);
           st.advertised = false;
@@ -387,12 +396,19 @@ class WsCore {
         idle_set(rank);
         st.advertised = true;
       } else {
+        // A park clamped to the deadline ends on time, not fruitlessly:
+        // it does not grow the backoff.
+        const std::int64_t left_us =
+            timed ? (st.deadline_ns - now + 999) / 1000
+                  : st.park_us;
+        const bool clamped = left_us < st.park_us;
+        const std::int64_t park_us = clamped ? left_us : st.park_us;
         c.parks.fetch_add(1, std::memory_order_relaxed);
         trace_emit(TraceKind::park, static_cast<std::uint64_t>(rank),
-                   static_cast<std::uint32_t>(st.park_us));
+                   static_cast<std::uint32_t>(park_us));
         const std::int64_t parked_at = common::now_ns();
         const bool woken = sync_[static_cast<std::size_t>(rank)]
-                               .parker.park_for_us(st.park_us);
+                               .parker.park_for_us(park_us);
         // Time actually parked (a wake cuts the timeout short), truncated
         // so the per-worker sum never exceeds wall time.
         c.parked_us.fetch_add(
@@ -404,7 +420,7 @@ class WsCore {
                    woken ? 1u : 0u);
         if (woken) {
           st.wake_pending = true;
-        } else {
+        } else if (!clamped) {
           st.park_us = std::min<std::int64_t>(st.park_us * 2, kParkMaxUs);
         }
       }

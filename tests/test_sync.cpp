@@ -29,6 +29,7 @@
 #include "glt/glt.hpp"
 #include "omp/omp.hpp"
 #include "sched/sync.hpp"
+#include "sched/ult_engine.hpp"
 
 namespace gg = glto::glt;
 namespace o = glto::omp;
@@ -431,25 +432,6 @@ TEST_P(SyncBackend, BarrierSerialReturnOncePerRound) {
   EXPECT_EQ(ctx.serial_returns.load(), kBarrierRounds);
 }
 
-TEST_P(SyncBackend, WaitUntilDeadlineAndSuccess) {
-  // sched::wait_until is the one timed-wait engine (future::wait_for,
-  // taskwait_for, taskgroup_with_deadline all route here). A predicate
-  // that never fires returns false once the deadline passes; one that
-  // fires returns true early.
-  const std::int64_t start = glto::common::now_ns();
-  EXPECT_FALSE(s::wait_until([] { return false; }, start + 2'000'000));
-  EXPECT_GE(glto::common::now_ns(), start + 2'000'000);
-
-  struct Ctx {
-    std::atomic<bool> flag{false};
-  } ctx;
-  auto* u = gg::ult_create(
-      [](void* p) { static_cast<Ctx*>(p)->flag.store(true); }, &ctx);
-  EXPECT_TRUE(s::wait_until([&] { return ctx.flag.load(); },
-                            glto::common::now_ns() + 10'000'000'000LL));
-  gg::ult_join(u);
-}
-
 // ---- timed primitives (PR-10 deadline layer) -----------------------------
 
 TEST_P(SyncBackend, EventWaitUntilTimeoutNeverStrandsLaterSet) {
@@ -585,6 +567,126 @@ TEST_P(SyncBackend, LatchWaitUntilTimeoutThenCompletion) {
   EXPECT_TRUE(l.wait_until(glto::common::now_ns()))
       << "zero count satisfies even an expired deadline";
 }
+
+// ---- one park path: timed waits suspend through the engine ---------------
+
+TEST_P(SyncBackend, TimedUltWaitSuspends) {
+  // A timed wait on a ULT is a park with a deadline: the waiter suspends
+  // once and the engine's timer resumes it — no yield-polling while the
+  // deadline runs out.
+  gg::event ev;
+  const std::uint64_t s0 = s::suspensions();
+  const std::uint64_t y0 = s::ult::counters().yields;
+  const std::int64_t deadline = glto::common::now_ns() + 5'000'000;
+  EXPECT_FALSE(ev.wait_until(deadline));
+  EXPECT_GE(glto::common::now_ns(), deadline);
+  EXPECT_EQ(s::suspensions() - s0, 1u);
+  EXPECT_EQ(s::ult::counters().yields - y0, 0u);
+}
+
+TEST_P(SyncBackend, PlainOsThreadTimedWaitTimesOutOrIsSignaled) {
+  // The Parker path: a thread the runtime never adopted cannot suspend,
+  // so it parks its own Parker until the signal or the deadline.
+  struct Ctx {
+    gg::event ev;
+    bool timed_out_ok = false;
+    bool signaled_ok = false;
+  } ctx;
+  std::thread timeout([&ctx] {
+    const std::int64_t deadline = glto::common::now_ns() + 2'000'000;
+    ctx.timed_out_ok =
+        !ctx.ev.wait_until(deadline) && glto::common::now_ns() >= deadline;
+  });
+  timeout.join();
+  EXPECT_TRUE(ctx.timed_out_ok);
+  const std::uint64_t t0 = s::timed_waits();
+  std::thread signaled([&ctx] {
+    ctx.signaled_ok =
+        ctx.ev.wait_until(glto::common::now_ns() + 10'000'000'000LL);
+  });
+  while (s::timed_waits() < t0 + 1) gg::yield();  // the thread is parked
+  ctx.ev.set();
+  signaled.join();
+  EXPECT_TRUE(ctx.signaled_ok);
+}
+
+TEST_P(SyncBackend, TimedWaitRacesSignalAcrossWorkers) {
+  // The waiter's timer fires on its own worker while a signaller on
+  // another worker pops the node. Either side may win, but the node is
+  // never left linked (ASan/TSan trip on a stranded node), the outcome is
+  // reported exactly once, and a later set is never lost. (mth has no
+  // placement: there work-first and stealing decide where each runs.)
+  struct Ctx {
+    gg::event ev;
+    std::int64_t wait_ns = 0;
+    std::atomic<int> wakes{0};
+    std::atomic<int> timeouts{0};
+  } ctx;
+  for (int r = 0; r < kTimedRaceRounds; ++r) {
+    ctx.wait_ns = 5'000 + 10'000 * (r % 4);  // vary who reaches the race first
+    auto* waiter = gg::ult_create_to(
+        1,
+        [](void* p) {
+          auto* c = static_cast<Ctx*>(p);
+          if (c->ev.wait_until(glto::common::now_ns() + c->wait_ns)) {
+            c->wakes.fetch_add(1);
+          } else {
+            c->timeouts.fetch_add(1);
+          }
+        },
+        &ctx);
+    auto* signaller = gg::ult_create_to(
+        2, [](void* p) { static_cast<Ctx*>(p)->ev.set(); }, &ctx);
+    gg::ult_join(waiter);
+    gg::ult_join(signaller);
+    ctx.ev.wait();  // the set is never stranded
+    ctx.ev.reset();
+  }
+  EXPECT_EQ(ctx.wakes.load() + ctx.timeouts.load(), kTimedRaceRounds);
+}
+
+class SyncOneWorker : public ::testing::TestWithParam<gg::Impl> {
+ protected:
+  void SetUp() override {
+    gg::Config cfg;
+    cfg.impl = GetParam();
+    cfg.num_threads = 1;
+    cfg.bind_threads = false;
+    gg::init(cfg);
+  }
+  void TearDown() override { gg::finalize(); }
+};
+
+TEST_P(SyncOneWorker, BackoffRunsOtherUnitsUntilItsDeadline) {
+  // backoff_until on a ULT suspends: its only worker runs another unit to
+  // completion meanwhile, and the backoff still lasts until its deadline.
+  struct Ctx {
+    gg::event go;
+    std::atomic<bool> ran{false};
+  } ctx;
+  auto* other = gg::ult_create(
+      [](void* p) {
+        auto* c = static_cast<Ctx*>(p);
+        c->go.wait();
+        c->ran.store(true);
+      },
+      &ctx);
+  ctx.go.set();  // `other` is runnable, but main holds the only worker
+  EXPECT_FALSE(ctx.ran.load());
+  const std::int64_t deadline = glto::common::now_ns() + 5'000'000;
+  s::backoff_until(deadline);
+  EXPECT_GE(glto::common::now_ns(), deadline);
+  EXPECT_TRUE(ctx.ran.load());
+  EXPECT_TRUE(gg::ult_is_done(other));
+  gg::ult_join(other);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, SyncOneWorker,
+                         ::testing::Values(gg::Impl::abt, gg::Impl::qth,
+                                           gg::Impl::mth),
+                         [](const ::testing::TestParamInfo<gg::Impl>& info) {
+                           return gg::impl_name(info.param);
+                         });
 
 TEST_P(SyncBackend, ChannelSendRecvUntilBasicsAndFullTimeout) {
   gg::channel<int> ch{2};
