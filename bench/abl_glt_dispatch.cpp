@@ -22,9 +22,10 @@
 //    sinc-style counter signals when every unit's body has run, then the
 //    joins only reclaim handles (each can at most overlap a unit's
 //    completion epilogue, never an unexecuted body). The creation-order
-//    join makes qth's FEB joins bounce main through the word-lock table
-//    whenever the thief lags, so this variant isolates pure dispatch
-//    cost from join-order artifacts.
+//    join parks main on every unit a lagging thief has not run yet, so
+//    this variant isolates pure dispatch cost from join-order artifacts.
+//    (A GLT join is the ULT engine's join on every backend; qth's FEB
+//    return words serve only its native API.)
 //    glt::ult_is_done is the per-handle form of the same probe; its
 //    conformance tests live in tests/test_glt.cpp.
 //  * omp-task — kBurst omp::task spawns on glto-abt from a single producer
@@ -168,9 +169,8 @@ int main() {
   // sinc-style completion counter (each ULT's body ends with one atomic
   // increment) and only joins the handles once every body has run, in
   // whatever order the units actually executed. No join can stall on a
-  // not-yet-stolen ULT while completed ones wait behind it (the
-  // artifact that bounced qth's FEB joins through the word-lock table),
-  // so the cell measures pure dispatch throughput.
+  // not-yet-stolen ULT while completed ones wait behind it, so the cell
+  // measures pure dispatch throughput.
   b::print_header("glt dispatch parity: burst, completion-order join (s)");
   for (const gg::Impl impl : backends) {
     for (int nth : b::thread_sweep()) {

@@ -9,9 +9,11 @@ Each <traced output> is the stdout of
 `python3 perfbench/run.py --workload <w> --seed 1 --seconds <s> --trace 1`;
 its last line is the result object. The reference names, per workload,
 per-operation counters that depend on neither thread count, run length
-nor timing: omp.tasks and cg.iters on cg-tasks, taskdep.deps_registered
-and bqp.ipm_iters on bqp-dag, glt.ults_created and sync.timed_waits on
-nested-for. Any difference from the reference fails, so
+nor timing: omp.tasks, cg.iters and glt.ults_created on cg-tasks,
+taskdep.deps_registered, bqp.ipm_iters and glt.ults_created on bqp-dag,
+glt.ults_created and sync.timed_waits on nested-for (glt.ults_created
+is the ULT engine's creation counter). Any difference from the
+reference fails, so
 a change that alters how much work an operation creates must say so by
 updating the reference in the same commit.
 """

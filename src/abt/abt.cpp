@@ -9,8 +9,7 @@ namespace {
 
 namespace ult = sched::ult;
 
-constexpr ult::Personality kAbt{"abt", /*body=*/nullptr,
-                                /*auto_free=*/false, /*work_first=*/false};
+constexpr ult::Personality kAbt{"abt", /*work_first=*/false};
 
 ult::Record* rec(WorkUnit* wu) { return reinterpret_cast<ult::Record*>(wu); }
 const ult::Record* rec(const WorkUnit* wu) {
@@ -22,7 +21,8 @@ WorkUnit* unit(ult::Record* r) { return reinterpret_cast<WorkUnit*>(r); }
 WorkUnit* create_unit(int rank, bool pinned, bool tasklet, WorkFn fn,
                       void* arg) {
   GLTO_CHECK_MSG(initialized(), "abt::init has not been called");
-  return unit(ult::create(fn, arg, rank, pinned, tasklet));
+  return unit(ult::create(fn, arg, rank, pinned,
+                          tasklet ? ult::Unit::tasklet : ult::Unit::ult));
 }
 
 }  // namespace

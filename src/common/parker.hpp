@@ -76,6 +76,20 @@ class Parker {
     cv_.notify_one();
   }
 
+  /// unpark() that first raises @p flag, all under the lock. A waiter
+  /// that polls @p flag and, once it reads true, calls sync() cannot go on
+  /// before this call has stopped touching the Parker — so the Parker may
+  /// die with the waiter (a thread_local of a thread about to exit).
+  void unpark_raising(std::atomic<bool>& flag) {
+    CheckedLock lk(mutex_);
+    flag.store(true, std::memory_order_release);
+    permit_ = true;
+    cv_.notify_one();
+  }
+
+  /// Waits out an unpark_raising() that is still inside this Parker.
+  void sync() { CheckedLock lk(mutex_); }
+
   [[nodiscard]] int waiters() const {
     return waiters_.load(std::memory_order_relaxed);
   }

@@ -43,16 +43,19 @@ namespace {
 
 /// Per-thread free-stack cache. Bound to at most one pool per thread (in
 /// practice: the immortal global() pool — the only one allowed to enable
-/// caching, so the spill in the destructor can never dangle).
+/// caching, so the spill in the destructor can never dangle). A fixed
+/// array: it never holds more than kCacheSpillHigh + 1 stacks, and a
+/// growing vector would reach the heap whenever a worker's cache hit a new
+/// high-water mark.
 struct ThreadCache {
   StackPool::Impl* owner = nullptr;
-  std::vector<void*> bases;
+  void* bases[StackPool::kCacheSpillHigh + 1];
+  std::size_t n = 0;
 
   ~ThreadCache() {
-    if (owner == nullptr || bases.empty()) return;
+    if (owner == nullptr || n == 0) return;
     glto::common::SpinGuard g(owner->lock);
-    owner->free_bases.insert(owner->free_bases.end(), bases.begin(),
-                             bases.end());
+    owner->free_bases.insert(owner->free_bases.end(), bases, bases + n);
   }
 };
 
@@ -93,11 +96,9 @@ Stack StackPool::acquire() {
   if (impl_->per_thread_cache &&
       (t_cache.owner == impl_ || t_cache.owner == nullptr)) {
     t_cache.owner = impl_;
-    if (!t_cache.bases.empty()) {
-      void* base = t_cache.bases.back();
-      t_cache.bases.pop_back();
+    if (t_cache.n > 0) {
       impl_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return make_stack(base);
+      return make_stack(t_cache.bases[--t_cache.n]);
     }
     // Batch refill: one lock acquisition amortized over kCacheRefillBatch
     // subsequent lock-free acquires.
@@ -106,15 +107,11 @@ Stack StackPool::acquire() {
       const std::size_t take =
           std::min(kCacheRefillBatch, impl_->free_bases.size());
       for (std::size_t i = 0; i < take; ++i) {
-        t_cache.bases.push_back(impl_->free_bases.back());
+        t_cache.bases[t_cache.n++] = impl_->free_bases.back();
         impl_->free_bases.pop_back();
       }
     }
-    if (!t_cache.bases.empty()) {
-      void* base = t_cache.bases.back();
-      t_cache.bases.pop_back();
-      return make_stack(base);
-    }
+    if (t_cache.n > 0) return make_stack(t_cache.bases[--t_cache.n]);
   } else {
     glto::common::SpinGuard g(impl_->lock);
     if (!impl_->free_bases.empty()) {
@@ -145,16 +142,15 @@ void StackPool::release(Stack s) {
   if (impl_->per_thread_cache &&
       (t_cache.owner == impl_ || t_cache.owner == nullptr)) {
     t_cache.owner = impl_;
-    t_cache.bases.push_back(s.base);
-    if (t_cache.bases.size() > kCacheSpillHigh) {
+    t_cache.bases[t_cache.n++] = s.base;
+    if (t_cache.n > kCacheSpillHigh) {
       // Spill half back to the shared freelist in one lock acquisition so
       // a join-heavy thread keeps feeding spawn-heavy ones.
       const std::size_t keep = kCacheSpillHigh / 2;
       glto::common::SpinGuard g(impl_->lock);
-      impl_->free_bases.insert(impl_->free_bases.end(),
-                               t_cache.bases.begin() + keep,
-                               t_cache.bases.end());
-      t_cache.bases.resize(keep);
+      impl_->free_bases.insert(impl_->free_bases.end(), t_cache.bases + keep,
+                               t_cache.bases + t_cache.n);
+      t_cache.n = keep;
     }
     return;
   }

@@ -1,7 +1,5 @@
 #include "glt/glt.hpp"
 
-#include <atomic>
-
 #include "abt/abt.hpp"
 #include "common/debug.hpp"
 #include "common/env.hpp"
@@ -9,16 +7,17 @@
 #include "qth/qth.hpp"
 #include "sched/chaos.hpp"
 #include "sched/trace.hpp"
+#include "sched/ult_engine.hpp"
 #include "sched/watchdog.hpp"
 
 namespace glto::glt {
 
 namespace {
 
+namespace ult = sched::ult;
+
 struct GltState {
   Config cfg;
-  std::atomic<std::uint64_t> ults_created{0};
-  std::atomic<std::uint64_t> tasklets_created{0};
   std::uint64_t metrics_token = 0;
 };
 
@@ -46,18 +45,21 @@ void glt_metrics_provider(void* /*arg*/, sched::MetricsSnapshot& out) {
   out.add("sched.timed_wait_timeouts", sched::timed_wait_timeouts());
 }
 
-/// Heap wrapper for backends whose native spawn signature differs from
-/// WorkFn (qth returns aligned_t) or that need a join word (qth).
-struct QthUltRecord {
-  WorkFn fn;
-  void* arg;
-  qth::aligned_t ret = 0;
-};
-
-qth::aligned_t qth_trampoline(void* p) {
-  auto* rec = static_cast<QthUltRecord*>(p);
-  rec->fn(rec->arg);
-  return 0;
+/// A unit created the way the live backend creates one. Tasklets are
+/// native on abt; qth and mth emulate them over ULTs (as in the original
+/// GLT), still counted as tasklets. mth spawns work-first and has no
+/// placement; otherwise @p tid ≥ 0 pins the unit there, and without a
+/// target it lands on the caller's thread (from a foreign thread: rank 0
+/// on abt, round-robin on qth).
+Ult* create(int tid, WorkFn fn, void* arg, bool tasklet) {
+  const Impl impl = g_state->cfg.impl;
+  const ult::Unit unit = !tasklet            ? ult::Unit::ult
+                         : impl == Impl::abt ? ult::Unit::tasklet
+                                             : ult::Unit::emulated_tasklet;
+  if (impl == Impl::mth) return ult::spawn(fn, arg, unit);
+  if (tid >= 0) return ult::create(fn, arg, tid, /*pinned=*/true, unit);
+  const int home = impl == Impl::qth ? qth::fork_shepherd() : -1;
+  return ult::create(fn, arg, home, /*pinned=*/false, unit);
 }
 
 }  // namespace
@@ -161,223 +163,63 @@ Impl current_impl() {
   return g_state->cfg.impl;
 }
 
-int num_threads() {
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      return abt::num_xstreams();
-    case Impl::qth:
-      return qth::num_shepherds();
-    case Impl::mth:
-      return mth::num_workers();
-  }
-  return 0;
-}
+int num_threads() { return ult::num_workers(); }
 
-int thread_num() {
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      return abt::self_rank();
-    case Impl::qth:
-      return qth::shep_rank();
-    case Impl::mth:
-      return mth::worker_rank();
-  }
-  return -1;
-}
+int thread_num() { return ult::self_rank(); }
 
 Ult* ult_create(WorkFn fn, void* arg) {
-  g_state->ults_created.fetch_add(1, std::memory_order_relaxed);
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      return reinterpret_cast<Ult*>(abt::ult_create(fn, arg));
-    case Impl::qth: {
-      auto* rec = new QthUltRecord{fn, arg, 0};
-      qth::fork(qth_trampoline, rec, &rec->ret);
-      return reinterpret_cast<Ult*>(rec);
-    }
-    case Impl::mth:
-      return reinterpret_cast<Ult*>(mth::create(fn, arg));
-  }
-  return nullptr;
+  return create(-1, fn, arg, /*tasklet=*/false);
 }
 
 Ult* ult_create_to(int tid, WorkFn fn, void* arg) {
-  g_state->ults_created.fetch_add(1, std::memory_order_relaxed);
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      return reinterpret_cast<Ult*>(abt::ult_create_on(tid, fn, arg));
-    case Impl::qth: {
-      auto* rec = new QthUltRecord{fn, arg, 0};
-      qth::fork_to(tid, qth_trampoline, rec, &rec->ret);
-      return reinterpret_cast<Ult*>(rec);
-    }
-    case Impl::mth:
-      // mth has no placement: work-first + stealing decide (documented).
-      return reinterpret_cast<Ult*>(mth::create(fn, arg));
-  }
-  return nullptr;
+  GLTO_CHECK(tid >= 0);
+  return create(tid, fn, arg, /*tasklet=*/false);
 }
 
 void ult_create_bulk(WorkFn fn, void* const* args, int n, Ult** out,
                      bool spread) {
   if (n <= 0) return;
-  g_state->ults_created.fetch_add(static_cast<std::uint64_t>(n),
-                                  std::memory_order_relaxed);
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      abt::ult_create_bulk(fn, args, n,
-                           reinterpret_cast<abt::WorkUnit**>(out), spread);
-      break;
-    case Impl::qth: {
-      // The qth shape needs a per-ULT record (trampoline + return-word
-      // FEB); records are built in waves so the argument arrays stay on
-      // the stack while the batch deposit itself remains bulk.
-      constexpr int kWave = 256;
-      void* qargs[kWave];
-      qth::aligned_t* qrets[kWave];
-      int done = 0;
-      while (done < n) {
-        const int take = n - done < kWave ? n - done : kWave;
-        for (int i = 0; i < take; ++i) {
-          auto* rec = new QthUltRecord{fn, args[done + i], 0};
-          out[done + i] = reinterpret_cast<Ult*>(rec);
-          qargs[i] = rec;
-          qrets[i] = &rec->ret;
-        }
-        qth::fork_bulk(qth_trampoline, qargs, qrets, take, spread);
-        done += take;
-      }
-      break;
-    }
-    case Impl::mth:
-      // mth has no placement (the thief decides): spread is advisory, the
-      // batch is queued help-first on the caller's deque.
-      mth::create_bulk(fn, args, n, reinterpret_cast<mth::Strand**>(out));
-      break;
+  for (int i = 0; i < n; ++i) {
+    out[i] = ult::alloc(fn, args[i], /*home_rank=*/-1, /*pinned=*/false);
   }
+  // mth has no placement (the thief decides): spread is advisory, the
+  // batch is queued help-first on the caller's deque.
+  ult::submit_bulk(out, n,
+                   spread && g_state->cfg.impl != Impl::mth
+                       ? sched::BulkHint::spread
+                       : sched::BulkHint::local);
 }
 
-bool ult_is_done(Ult* u) {
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      return abt::is_done(reinterpret_cast<abt::WorkUnit*>(u));
-    case Impl::qth:
-      // The qthread's completion fills its return-word FEB; probing the
-      // word's full bit is Qthreads' native non-blocking completion test.
-      return qth::feb_is_full(&reinterpret_cast<QthUltRecord*>(u)->ret);
-    case Impl::mth:
-      return mth::is_done(reinterpret_cast<mth::Strand*>(u));
-  }
-  return false;
-}
+bool ult_is_done(Ult* u) { return ult::is_done(u); }
 
 void ult_join(Ult* u) {
   // Watchdog bracket: a blocking join is a potential "parked waiter" —
   // the stall monitor only fires while waiters exist with no scheduler
-  // progress, and a join that suspends into backend work keeps bumping
+  // progress, and a join that suspends into other work keeps bumping
   // progress through WsCore::acquire.
   sched::watchdog_enter_wait();
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      abt::join(reinterpret_cast<abt::WorkUnit*>(u));
-      break;
-    case Impl::qth: {
-      auto* rec = reinterpret_cast<QthUltRecord*>(u);
-      qth::aligned_t sink = 0;
-      qth::readFF(&sink, &rec->ret);
-      delete rec;
-      break;
-    }
-    case Impl::mth:
-      mth::join(reinterpret_cast<mth::Strand*>(u));
-      break;
-  }
+  ult::join(u);
   sched::watchdog_exit_wait();
 }
 
 Tasklet* tasklet_create(WorkFn fn, void* arg) {
-  g_state->tasklets_created.fetch_add(1, std::memory_order_relaxed);
-  if (g_state->cfg.impl == Impl::abt) {
-    return reinterpret_cast<Tasklet*>(abt::tasklet_create(fn, arg));
-  }
-  // qth/mth: tasklets are emulated over ULTs (as in the original GLT).
-  auto* t = reinterpret_cast<Tasklet*>(ult_create(fn, arg));
-  // Keep the counters disjoint: the emulation ULT is reported as a tasklet.
-  g_state->ults_created.fetch_sub(1, std::memory_order_relaxed);
-  return t;
+  return create(-1, fn, arg, /*tasklet=*/true);
 }
 
 Tasklet* tasklet_create_to(int tid, WorkFn fn, void* arg) {
-  g_state->tasklets_created.fetch_add(1, std::memory_order_relaxed);
-  if (g_state->cfg.impl == Impl::abt) {
-    return reinterpret_cast<Tasklet*>(abt::tasklet_create_on(tid, fn, arg));
-  }
-  auto* t = reinterpret_cast<Tasklet*>(ult_create_to(tid, fn, arg));
-  g_state->ults_created.fetch_sub(1, std::memory_order_relaxed);
-  return t;
+  GLTO_CHECK(tid >= 0);
+  return create(tid, fn, arg, /*tasklet=*/true);
 }
 
-void tasklet_join(Tasklet* t) {
-  if (g_state->cfg.impl == Impl::abt) {
-    sched::watchdog_enter_wait();
-    abt::join(reinterpret_cast<abt::WorkUnit*>(t));
-    sched::watchdog_exit_wait();
-    return;
-  }
-  ult_join(reinterpret_cast<Ult*>(t));
-}
+void tasklet_join(Tasklet* t) { ult_join(t); }
 
-void yield() {
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      abt::yield();
-      break;
-    case Impl::qth:
-      qth::yield();
-      break;
-    case Impl::mth:
-      mth::yield();
-      break;
-  }
-}
+void yield() { ult::yield(); }
 
-bool maybe_work() {
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      return abt::maybe_work();
-    case Impl::qth:
-      return qth::maybe_work();
-    case Impl::mth:
-      return mth::maybe_work();
-  }
-  return false;
-}
+bool maybe_work() { return ult::maybe_work(); }
 
-void* self_local() {
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      return abt::self_local();
-    case Impl::qth:
-      return qth::self_local();
-    case Impl::mth:
-      return mth::self_local();
-  }
-  return nullptr;
-}
+void* self_local() { return ult::self_local(); }
 
-void set_self_local(void* p) {
-  switch (g_state->cfg.impl) {
-    case Impl::abt:
-      abt::set_self_local(p);
-      break;
-    case Impl::qth:
-      qth::set_self_local(p);
-      break;
-    case Impl::mth:
-      mth::set_self_local(p);
-      break;
-  }
-}
+void set_self_local(void* p) { ult::set_self_local(p); }
 
 bool supports_stealing() { return g_state->cfg.impl == Impl::mth; }
 
@@ -386,26 +228,13 @@ bool supports_native_tasklets() { return g_state->cfg.impl == Impl::abt; }
 Stats stats() {
   Stats s;
   if (g_state != nullptr) {
-    s.ults_created = g_state->ults_created.load(std::memory_order_relaxed);
-    s.tasklets_created =
-        g_state->tasklets_created.load(std::memory_order_relaxed);
+    const ult::Counters c = ult::counters();
+    s.ults_created = c.created;
+    s.tasklets_created = c.tasklets;
     // All three backends dispatch through the shared sched::WsCore, so
     // the scheduler-behaviour counters are uniformly meaningful — table3
     // and abl_glt_dispatch sweep GLT_IMPL and compare them directly.
-    // Every backend Stats inherits sched::StatsSnapshot: one slice
-    // assignment replaces the old per-backend field-by-field copies.
-    sched::StatsSnapshot& base = s;
-    switch (g_state->cfg.impl) {
-      case Impl::abt:
-        base = abt::stats();
-        break;
-      case Impl::mth:
-        base = mth::stats();
-        break;
-      case Impl::qth:
-        base = qth::stats();
-        break;
-    }
+    ult::fill_stats(s);
   }
   return s;
 }

@@ -24,6 +24,10 @@
 #include "sched/metrics.hpp"
 #include "sched/sync.hpp"
 
+namespace glto::sched::ult {
+struct Record;
+}  // namespace glto::sched::ult
+
 namespace glto::glt {
 
 enum class Impl : std::uint8_t { abt, qth, mth };
@@ -47,14 +51,18 @@ void finalize();
 [[nodiscard]] bool initialized();
 [[nodiscard]] Impl current_impl();
 
+/// Number of GLT_threads; 0 before init() and after finalize().
 [[nodiscard]] int num_threads();
 
-/// Rank of the GLT_thread executing the caller. Under the mth and abt
+/// Rank of the GLT_thread executing the caller; -1 on threads outside the
+/// team, and so before init() and after finalize(). Under the mth and abt
 /// backends this can change across suspension points (stealing).
 [[nodiscard]] int thread_num();
 
-struct Ult;
-struct Tasklet;
+/// GLT_ult and GLT_tasklet handles are the ULT engine's work-unit records
+/// (sched/ult_engine.hpp) under every backend.
+using Ult = sched::ult::Record;
+using Tasklet = sched::ult::Record;
 
 using WorkFn = void (*)(void*);
 
@@ -88,11 +96,11 @@ void ult_create_bulk(WorkFn fn, void* const* args, int n, Ult** out,
 void ult_join(Ult* u);
 
 /// Non-destructive completion poll: true once the ULT has finished
-/// executing (ult_join must still be called to reclaim it). Maps to
-/// abt::is_done / the qth return-word FEB / mth::is_done — the
-/// per-handle probe for completion-order joins (conformance tests in
-/// tests/test_glt.cpp; abl_glt_dispatch's burst-co cell uses the
-/// aggregate counter form of the same idea).
+/// executing (ult_join must still be called to reclaim it). Reads the
+/// engine record's `done` flag on every backend — the per-handle probe
+/// for completion-order joins (conformance tests in tests/test_glt.cpp;
+/// abl_glt_dispatch's burst-co cell uses the aggregate counter form of
+/// the same idea).
 [[nodiscard]] bool ult_is_done(Ult* u);
 
 Tasklet* tasklet_create(WorkFn fn, void* arg);

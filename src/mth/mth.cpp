@@ -12,8 +12,7 @@ namespace ult = sched::ult;
 /// Work-first: create() switches to the child, leave() hands off
 /// strand-to-strand, and yields stay stealable — everything mth schedules
 /// can be stolen.
-constexpr ult::Personality kMth{"mth", /*body=*/nullptr,
-                                /*auto_free=*/false, /*work_first=*/true};
+constexpr ult::Personality kMth{"mth", /*work_first=*/true};
 
 ult::Record* rec(Strand* s) { return reinterpret_cast<ult::Record*>(s); }
 const ult::Record* rec(const Strand* s) {

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
+#include "common/cacheline.hpp"
 #include "common/debug.hpp"
 #include "common/spin.hpp"
+#include "common/thread_safety.hpp"
 #include "sched/ult_engine.hpp"
 
 namespace glto::qth {
@@ -17,26 +17,47 @@ namespace {
 namespace ult = sched::ult;
 using Record = ult::Record;
 
-enum class FebOp : std::uint8_t { ReadFF, ReadFE, WriteEF };
+enum class FebOp : std::uint8_t { ReadFF, ReadFE, WriteEF, WriteF, Fill, Empty };
 
-/// A qthread parked on a FEB word.
-struct Waiter {
-  Record* th;
+/// One FEB op on a word. A qthread that parks on it queues this very
+/// object, on its stack, as an intrusive FIFO link.
+struct FebWait {
   FebOp op;
+  aligned_t* addr;
   aligned_t* dst;  // ReadFF / ReadFE destination
-  aligned_t val;   // WriteEF value
+  aligned_t val;   // WriteEF / WriteF value
+  Record* th = nullptr;
+  FebWait* next = nullptr;
 };
 
-/// Per-word full/empty state. A word with no table entry is *full* with no
-/// waiters (Qthreads' default: all memory starts full).
+/// Full/empty state of a word that is empty or has waiters. Every other
+/// word has no entry and is *full* (Qthreads' default: all memory starts
+/// full), so an op that leaves its word full with no waiters frees it.
 struct FebEntry {
-  bool full = true;
-  std::deque<Waiter> waiters;
+  const aligned_t* addr;
+  bool full;
+  FebWait* head;  // waiters, FIFO
+  FebWait* tail;
+  FebEntry* next;  // the bucket's live chain, or its free chain
 };
 
-struct FebBucket {
+struct alignas(common::kCacheLine) FebBucket {
   common::SpinLock lock;
-  std::unordered_map<std::uintptr_t, FebEntry> words;
+  FebEntry* words GLTO_GUARDED_BY(lock) = nullptr;
+  /// Recycled entries: no heap after warm-up.
+  FebEntry* free GLTO_GUARDED_BY(lock) = nullptr;
+
+  /// The link that holds @p addr's entry, or the chain's null tail link.
+  FebEntry** find(const aligned_t* addr) GLTO_REQUIRES(lock) {
+    FebEntry** at = &words;
+    while (*at != nullptr && (*at)->addr != addr) at = &(*at)->next;
+    return at;
+  }
+  ~FebBucket() {
+    for (FebEntry* chain : {words, free}) {
+      while (chain != nullptr) delete std::exchange(chain, chain->next);
+    }
+  }
 };
 
 constexpr std::size_t kFebBuckets = 64;
@@ -57,17 +78,15 @@ ult::WorkFn erase(QthFn fn) {
   return reinterpret_cast<ult::WorkFn>(reinterpret_cast<void (*)()>(fn));
 }
 
-/// Runs the qthread and fills its return word (the record's aux), which is
-/// how a qthread's completion is joined.
+/// Body of a native qthread: runs its QthFn and fills its return word (the
+/// record's aux), which is how a native qthread's completion is joined.
 void qthread_body(Record* r) {
   const auto fn = reinterpret_cast<QthFn>(reinterpret_cast<void (*)()>(r->fn));
   const aligned_t result = fn(r->arg);
   if (r->aux != nullptr) writeF(static_cast<aligned_t*>(r->aux), result);
 }
 
-/// Qthreads are auto-freed at Done: joins go through the return word.
-constexpr ult::Personality kQth{"qth", qthread_body, /*auto_free=*/true,
-                                /*work_first=*/false};
+constexpr ult::Personality kQth{"qth", /*work_first=*/false};
 
 FebBucket& bucket_for(const aligned_t* addr) {
   const auto p = reinterpret_cast<std::uintptr_t>(addr);
@@ -75,160 +94,109 @@ FebBucket& bucket_for(const aligned_t* addr) {
   return g_st->feb[(p >> 3) * 0x9e3779b97f4a7c15ULL >> 58 & (kFebBuckets - 1)];
 }
 
-/// Satisfies as many waiters as the word's state allows, FIFO-fair.
-/// Must be called with the bucket lock held; readied threads are collected
-/// into @p wake and pushed after the lock is dropped.
-void drain_waiters(FebEntry& e, aligned_t* addr, std::vector<Record*>& wake) {
-  while (!e.waiters.empty()) {
-    Waiter& w = e.waiters.front();
-    bool satisfied = false;
-    switch (w.op) {
-      case FebOp::ReadFF:
-        if (e.full) {
-          if (w.dst != nullptr) *w.dst = *addr;
-          satisfied = true;
-        }
-        break;
-      case FebOp::ReadFE:
-        if (e.full) {
-          if (w.dst != nullptr) *w.dst = *addr;
-          e.full = false;
-          satisfied = true;
-        }
-        break;
-      case FebOp::WriteEF:
-        if (!e.full) {
-          *addr = w.val;
-          e.full = true;
-          satisfied = true;
-        }
-        break;
-    }
-    if (!satisfied) break;  // FIFO fairness: do not overtake a blocked head
-    wake.push_back(w.th);
-    e.waiters.pop_front();
+/// Applies @p w to a word whose state is @p full, if that state allows it.
+bool apply(const FebWait& w, bool& full) {
+  switch (w.op) {
+    case FebOp::ReadFF:
+    case FebOp::ReadFE:
+      if (!full) return false;
+      if (w.dst != nullptr) *w.dst = *w.addr;
+      full = w.op == FebOp::ReadFF;
+      return true;
+    case FebOp::WriteEF:
+      if (full) return false;
+      [[fallthrough]];
+    case FebOp::WriteF:
+      *w.addr = w.val;
+      [[fallthrough]];
+    case FebOp::Fill:
+      full = true;
+      return true;
+    case FebOp::Empty:
+      full = false;
+      return true;
   }
+  return false;
 }
 
-/// Attempts a FEB operation immediately. Returns true when it completed;
-/// false when the caller must block. Never blocks itself.
-bool feb_try(FebOp op, aligned_t* addr, aligned_t* dst, aligned_t val) {
-  FebBucket& b = bucket_for(addr);
+/// Satisfies waiters FIFO from the head, stopping at the first that must
+/// keep waiting (no overtaking), and returns the satisfied prefix as a
+/// chain for the caller to resume once the bucket lock drops.
+FebWait* drain(FebEntry& e) {
+  FebWait* last = nullptr;
+  for (FebWait* w = e.head; w != nullptr && apply(*w, e.full); w = w->next) {
+    last = w;
+  }
+  if (last == nullptr) return nullptr;
+  FebWait* ready = e.head;
+  e.head = last->next;
+  if (e.head == nullptr) e.tail = nullptr;
+  last->next = nullptr;
+  return ready;
+}
+
+/// Performs @p w on its word under the bucket lock. If the word's state
+/// does not allow it, @p parker (the qthread parking on @p w, or nullptr
+/// for a plain attempt) is queued as a waiter; returns whether the op
+/// completed. Waiters it satisfied are resumed after the lock drops.
+bool feb_do(FebWait& w, Record* parker) {
+  FebBucket& b = bucket_for(w.addr);
   g_st->feb_ops.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Record*> wake;
+  FebWait* ready = nullptr;
   bool done = false;
   {
     common::SpinGuard g(b.lock);
-    auto it = b.words.find(reinterpret_cast<std::uintptr_t>(addr));
-    const bool full = it == b.words.end() ? true : it->second.full;
-    switch (op) {
-      case FebOp::ReadFF:
-        if (full) {
-          if (dst != nullptr) *dst = *addr;
-          done = true;
-        }
-        break;
-      case FebOp::ReadFE:
-        if (full) {
-          if (dst != nullptr) *dst = *addr;
-          auto& e = it == b.words.end()
-                        ? b.words[reinterpret_cast<std::uintptr_t>(addr)]
-                        : it->second;
-          e.full = false;
-          // Emptying may unblock a pending writeEF (and transitively more).
-          drain_waiters(e, addr, wake);
-          done = true;
-        }
-        break;
-      case FebOp::WriteEF:
-        if (!full) {
-          *addr = val;
-          it->second.full = true;
-          drain_waiters(it->second, addr, wake);
-          done = true;
-        }
-        break;
+    FebEntry** at = b.find(w.addr);
+    FebEntry* e = *at;
+    bool full = e == nullptr || e->full;
+    done = apply(w, full);
+    if (!done && parker == nullptr) return false;
+    if (e == nullptr) {
+      if (done && full) return true;  // full, no waiters: no entry
+      e = b.free;
+      if (e != nullptr) {
+        b.free = e->next;
+      } else {
+        e = new FebEntry;
+      }
+      *e = FebEntry{w.addr, true, nullptr, nullptr, nullptr};
+      *at = e;
+    }
+    e->full = full;
+    if (done) {
+      ready = drain(*e);
+    } else {
+      w.th = parker;
+      w.next = nullptr;
+      (e->tail != nullptr ? e->tail->next : e->head) = &w;
+      e->tail = &w;
+      g_st->feb_blocks.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (e->full && e->head == nullptr) {
+      *at = e->next;
+      e->next = b.free;
+      b.free = e;
     }
   }
-  for (Record* th : wake) ult::resume(th);
+  while (ready != nullptr) {
+    // Read the link first: once resumed, a waiter's FebWait may be gone.
+    Record* th = ready->th;
+    ready = ready->next;
+    ult::resume(th);
+  }
   return done;
 }
 
-/// Registers @p th as a waiter — used by the scheduler after the thread's
-/// context is fully saved. Re-checks the condition under the lock; returns
-/// true if the op completed instead (thread must be re-readied).
-bool feb_register_or_complete(Record* th, FebOp op, aligned_t* addr,
-                              aligned_t* dst, aligned_t val) {
-  FebBucket& b = bucket_for(addr);
-  g_st->feb_ops.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Record*> wake;
-  bool completed = false;
-  {
-    common::SpinGuard g(b.lock);
-    auto& e = b.words[reinterpret_cast<std::uintptr_t>(addr)];
-    switch (op) {
-      case FebOp::ReadFF:
-        if (e.full) {
-          if (dst != nullptr) *dst = *addr;
-          completed = true;
-        }
-        break;
-      case FebOp::ReadFE:
-        if (e.full) {
-          if (dst != nullptr) *dst = *addr;
-          e.full = false;
-          drain_waiters(e, addr, wake);
-          completed = true;
-        }
-        break;
-      case FebOp::WriteEF:
-        if (!e.full) {
-          *addr = val;
-          e.full = true;
-          drain_waiters(e, addr, wake);
-          completed = true;
-        }
-        break;
-    }
-    if (!completed) {
-      e.waiters.push_back(Waiter{th, op, dst, val});
-      g_st->feb_blocks.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  for (Record* t : wake) ult::resume(t);
-  return completed;
+/// Non-blocking op (writeF, feb_fill, feb_empty): always completes.
+void feb_set(FebOp op, aligned_t* addr, aligned_t val) {
+  FebWait w{op, addr, nullptr, val};
+  (void)feb_do(w, nullptr);
 }
 
-void set_feb_state(aligned_t* addr, bool full) {
-  FebBucket& b = bucket_for(addr);
-  g_st->feb_ops.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Record*> wake;
-  {
-    common::SpinGuard g(b.lock);
-    auto& e = b.words[reinterpret_cast<std::uintptr_t>(addr)];
-    e.full = full;
-    drain_waiters(e, addr, wake);
-    if (e.full && e.waiters.empty()) {
-      // Full with nobody waiting == default state; reclaim the entry.
-      b.words.erase(reinterpret_cast<std::uintptr_t>(addr));
-    }
-  }
-  for (Record* t : wake) ult::resume(t);
-}
-
-/// A FEB op a qthread is about to park on (lives on its stack).
-struct FebWait {
-  FebOp op;
-  aligned_t* addr;
-  aligned_t* dst;
-  aligned_t val;
-};
-
-/// Park callback: registers the parked qthread as a waiter, or performs
-/// the op if the word changed meanwhile (then the engine re-readies it).
+/// Park callback: queues the parked qthread on its word, or performs the
+/// op if the word changed meanwhile (then the engine re-readies it).
 bool feb_park_cb(void* arg, Record* r) {
-  const FebWait& w = *static_cast<const FebWait*>(arg);
-  return !feb_register_or_complete(r, w.op, w.addr, w.dst, w.val);
+  return !feb_do(*static_cast<FebWait*>(arg), r);
 }
 
 }  // namespace
@@ -261,19 +229,22 @@ bool maybe_work() { return ult::maybe_work(); }
 
 namespace {
 
-/// A reset, unbound record: no stack until a shepherd first runs it.
+/// A reset, unbound native qthread: no stack until a shepherd first runs
+/// it; auto-freed at Done, joined through its return word.
 /// @p shep < 0: the caller's shepherd (shepherd 0 on a foreign thread).
 Record* new_thread(int shep, bool pinned, QthFn fn, void* arg,
                    aligned_t* ret) {
+  if (ret != nullptr) feb_empty(ret);
   Record* th = ult::alloc(erase(fn), arg, shep, pinned);
   th->aux = ret;
+  th->body = qthread_body;
+  th->auto_free = true;
   return th;
 }
 
 void fork_impl(int shep, bool pinned, QthFn fn, void* arg, aligned_t* ret) {
   GLTO_CHECK_MSG(initialized(), "qth::init has not been called");
   GLTO_CHECK(shep >= 0 && shep < ult::num_workers());
-  if (ret != nullptr) feb_empty(ret);
   ult::submit(new_thread(shep, pinned, fn, arg, ret));
 }
 
@@ -295,10 +266,8 @@ void fork_bulk(QthFn fn, void* const* args, aligned_t* const* rets, int n,
   while (done < n) {
     const int take = std::min(kWave, n - done);
     for (int i = 0; i < take; ++i) {
-      aligned_t* ret = rets != nullptr ? rets[done + i] : nullptr;
-      if (ret != nullptr) feb_empty(ret);
       wave[i] = new_thread(/*shep=*/-1, /*pinned=*/false, fn, args[done + i],
-                           ret);
+                           rets != nullptr ? rets[done + i] : nullptr);
     }
     ult::submit_bulk(wave, take,
                      spread ? sched::BulkHint::spread : sched::BulkHint::local);
@@ -306,47 +275,47 @@ void fork_bulk(QthFn fn, void* const* args, aligned_t* const* rets, int n,
   }
 }
 
-void fork(QthFn fn, void* arg, aligned_t* ret) {
-  GLTO_CHECK_MSG(initialized(), "qth::init has not been called");
+int fork_shepherd() {
   // A fork from a shepherd is run-local — it lands on the caller's deque
   // where idle shepherds steal it. Foreign threads have no deque, so
   // their forks scatter round-robin.
-  if (const int self = shep_rank(); self >= 0) {
-    fork_impl(self, /*pinned=*/false, fn, arg, ret);
-    return;
-  }
+  if (const int self = shep_rank(); self >= 0) return self;
   const auto next = g_st->rr_next.fetch_add(1, std::memory_order_relaxed);
-  const auto n = static_cast<std::uint64_t>(ult::num_workers());
-  fork_impl(static_cast<int>(next % n), /*pinned=*/false, fn, arg, ret);
+  return static_cast<int>(next % static_cast<std::uint64_t>(ult::num_workers()));
+}
+
+void fork(QthFn fn, void* arg, aligned_t* ret) {
+  GLTO_CHECK_MSG(initialized(), "qth::init has not been called");
+  fork_impl(fork_shepherd(), /*pinned=*/false, fn, arg, ret);
 }
 
 void yield() { ult::yield(); }
 
-void feb_empty(aligned_t* addr) { set_feb_state(addr, false); }
+void feb_empty(aligned_t* addr) { feb_set(FebOp::Empty, addr, 0); }
 
-void feb_fill(aligned_t* addr) { set_feb_state(addr, true); }
+void feb_fill(aligned_t* addr) { feb_set(FebOp::Fill, addr, 0); }
 
 bool feb_is_full(aligned_t* addr) {
   FebBucket& b = bucket_for(addr);
   g_st->feb_ops.fetch_add(1, std::memory_order_relaxed);
   common::SpinGuard g(b.lock);
-  auto it = b.words.find(reinterpret_cast<std::uintptr_t>(addr));
-  return it == b.words.end() ? true : it->second.full;
+  const FebEntry* e = *b.find(addr);
+  return e == nullptr || e->full;
 }
 
 namespace {
 
 void feb_op_blocking(FebOp op, aligned_t* addr, aligned_t* dst, aligned_t val) {
-  if (feb_try(op, addr, dst, val)) return;
+  FebWait w{op, addr, dst, val};
+  if (feb_do(w, nullptr)) return;
   if (!in_qthread()) {
-    // Foreign OS thread: spin politely until the fast path succeeds.
-    common::spin_until([&] { return feb_try(op, addr, dst, val); });
+    // Foreign OS thread: spin politely until the op succeeds.
+    common::spin_until([&] { return feb_do(w, nullptr); });
     return;
   }
-  FebWait w{op, addr, dst, val};
   ult::park(feb_park_cb, &w);
-  // feb_park_cb performed or registered the op; when we resume it has been
-  // satisfied by drain_waiters — nothing left to do.
+  // feb_park_cb performed or queued the op; when we resume a waker has
+  // satisfied it — nothing left to do.
 }
 
 }  // namespace
@@ -363,22 +332,7 @@ void writeEF(aligned_t* dst, aligned_t val) {
   feb_op_blocking(FebOp::WriteEF, dst, nullptr, val);
 }
 
-void writeF(aligned_t* dst, aligned_t val) {
-  FebBucket& b = bucket_for(dst);
-  g_st->feb_ops.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Record*> wake;
-  {
-    common::SpinGuard g(b.lock);
-    auto& e = b.words[reinterpret_cast<std::uintptr_t>(dst)];
-    *dst = val;
-    e.full = true;
-    drain_waiters(e, dst, wake);
-    if (e.waiters.empty()) {
-      b.words.erase(reinterpret_cast<std::uintptr_t>(dst));
-    }
-  }
-  for (Record* t : wake) ult::resume(t);
-}
+void writeF(aligned_t* dst, aligned_t val) { feb_set(FebOp::WriteF, dst, val); }
 
 void* self_local() { return ult::self_local(); }
 

@@ -8,17 +8,21 @@
 //  * The signature synchronization primitive is the **FEB** (full/empty
 //    bit): every aligned 64-bit word can be read/written with blocking
 //    full/empty semantics (readFF, readFE, writeEF, writeF). FEB state
-//    lives in a central hash table whose buckets are protected by striped
-//    locks — Qthreads "protects all memory words with mutex regions",
-//    which is the contention source the paper measures in Figs. 4/5 and
-//    the rising QTH curves of Figs. 10–13.
-//  * Every qthread's completion is itself signalled through a FEB on its
-//    return word, so *all* join traffic funnels through the word-lock
-//    table, faithfully reproducing that cost model.
+//    lives in a central table of buckets protected by striped locks —
+//    Qthreads "protects all memory words with mutex regions", which is
+//    the contention source the paper measures in Figs. 4/5 and the rising
+//    QTH curves of Figs. 10–13. Only words that are empty or have waiters
+//    hold an entry; entries and waiter links are intrusive and recycled,
+//    so a FEB op touches no heap after warm-up.
+//  * Every native qthread's completion is itself signalled through a FEB
+//    on its return word, so native qth joins funnel through the word-lock
+//    table, faithfully reproducing that cost model (Fig. 5 runs UTS over
+//    this API). ULTs created through the GLT facade are engine units
+//    joined like abt's, without a return word.
 //
 // Thread handles: fork() returns immediately; completion is observed via
-// the caller-owned return word (readFF). The runtime frees thread records
-// automatically after completion.
+// the caller-owned return word (readFF). The runtime frees native thread
+// records automatically after completion.
 //
 // Scheduling, stacks and suspension come from the shared ULT engine
 // (sched/ult_engine.hpp).
@@ -63,6 +67,10 @@ void finalize();
 /// and filled with fn's return value on completion, so readFF(ret) is the
 /// join operation.
 void fork(QthFn fn, void* arg, aligned_t* ret);
+
+/// Shepherd a fork() from the calling thread lands on: its own, or the
+/// next one in round-robin order from a foreign thread.
+[[nodiscard]] int fork_shepherd();
 
 /// Spawns @p n qthreads running fn(args[i]) (return word rets[i], may be
 /// null) and deposits the whole batch through the scheduling core's bulk

@@ -18,11 +18,12 @@ std::atomic<std::uint64_t> g_wakes_direct{0};
 std::atomic<std::uint64_t> g_timed_waits{0};
 std::atomic<std::uint64_t> g_timed_wait_timeouts{0};
 
-/// The parker for contexts that cannot suspend. Thread-local and immortal
-/// (lives as long as the OS thread), so a signaller's unpark() after the
-/// waiter already observed `signaled` lands on live memory; the stale
-/// permit at worst short-circuits that thread's next park — benign, every
-/// park loop rechecks its predicate.
+/// The parker for contexts that cannot suspend. Thread-local: it dies when
+/// its thread exits, which may be right after the wait returns, so the
+/// signaller raises `signaled` inside Parker::unpark_raising and the
+/// waiter syncs with it before returning (see park_thread). A stale permit
+/// at worst short-circuits that thread's next park — benign, every park
+/// loop rechecks its predicate.
 common::Parker& thread_parker() {
   thread_local common::Parker p;
   return p;
@@ -38,6 +39,7 @@ bool park_thread(common::Parker& p, const WaitNode* n,
     if (common::now_ns() >= deadline_ns) return false;
     p.park_until(until);
   }
+  p.sync();  // the signaller may still be inside p
   return true;
 }
 
@@ -180,10 +182,10 @@ void wake_node(WaitNode* n) {
   common::Parker* parker = n->parker;
   trace_unblock(n);
   chaos_maybe_delay();
-  n->signaled.store(true, std::memory_order_release);
   if (parker != nullptr) {
-    parker->unpark();
+    parker->unpark_raising(n->signaled);
   } else {
+    n->signaled.store(true, std::memory_order_release);
     ult::resume(handle);
     g_wakes_direct.fetch_add(1, std::memory_order_relaxed);
   }

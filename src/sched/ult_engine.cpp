@@ -158,7 +158,7 @@ void recycle(Record* r, int rank) {
 
 /// A unit finished on worker @p rank and its stack is released.
 void finish(Record* r, int rank) {
-  if (g->p->auto_free) {
+  if (r->auto_free) {
     recycle(r, rank);
     return;
   }
@@ -171,8 +171,8 @@ void finish(Record* r, int rank) {
 }
 
 void run_body(Record* r) {
-  if (g->p->body != nullptr) {
-    g->p->body(r);
+  if (r->body != nullptr) {
+    r->body(r);
   } else {
     r->fn(r->arg);
   }
@@ -517,11 +517,10 @@ bool maybe_work() {
   return g->core.maybe_work(tls.rank, /*with_main=*/tls.rank == 0);
 }
 
-Record* alloc(WorkFn fn, void* arg, int home_rank, bool pinned,
-              bool stackless) {
+Record* alloc(WorkFn fn, void* arg, int home_rank, bool pinned, Unit unit) {
   GLTO_CHECK(home_rank < g->n);
   if (home_rank < 0) home_rank = tls.rank >= 0 ? tls.rank : 0;
-  (stackless ? g->tasklets : g->created)
+  (unit == Unit::ult ? g->created : g->tasklets)
       .fetch_add(1, std::memory_order_relaxed);
   Record* r = g->free.try_alloc(tls.rank);
   if (r == nullptr) r = new Record();
@@ -537,8 +536,10 @@ Record* alloc(WorkFn fn, void* arg, int home_rank, bool pinned,
   r->home_rank = home_rank;
   r->pinned = pinned;
   r->is_main = false;
-  r->stackless = stackless;
+  r->stackless = unit == Unit::tasklet;
+  r->auto_free = false;
   r->user_local = nullptr;
+  r->body = nullptr;
   return r;
 }
 
@@ -546,9 +547,8 @@ void submit(Record* r) {
   g->core.submit(tls.rank, r->home_rank, r->pinned, r);
 }
 
-Record* create(WorkFn fn, void* arg, int home_rank, bool pinned,
-               bool stackless) {
-  Record* r = alloc(fn, arg, home_rank, pinned, stackless);
+Record* create(WorkFn fn, void* arg, int home_rank, bool pinned, Unit unit) {
+  Record* r = alloc(fn, arg, home_rank, pinned, unit);
   submit(r);
   return r;
 }
@@ -557,10 +557,11 @@ void submit_bulk(Record* const* rs, int n, BulkHint hint) {
   g->core.submit_bulk(tls.rank, rs, static_cast<std::size_t>(n), hint);
 }
 
-Record* spawn(WorkFn fn, void* arg) {
+Record* spawn(WorkFn fn, void* arg, Unit unit) {
   Record* parent = tls.current;
   GLTO_CHECK_MSG(parent != nullptr, "work-first spawn outside a ULT");
-  Record* child = alloc(fn, arg, /*home_rank=*/0, /*pinned=*/false);
+  GLTO_CHECK(unit != Unit::tasklet);  // the child gets a stack right here
+  Record* child = alloc(fn, arg, /*home_rank=*/0, /*pinned=*/false, unit);
   bind_stack(child);  // dispatched right here
   SwitchMsg msg{Dir::Spawn, parent, child};
   const fctx::transfer_t t =

@@ -7,7 +7,7 @@
 // the per-thread block, the worker threads, the scheduler loop, the
 // primary thread's scheduler context, the context-switch protocol, and
 // the one park path every blocking wait suspends through. A personality
-// (Personality) is a name, a body hook and two flags over this API.
+// (Personality) is a name and a work-first flag over this API.
 //
 // Record lifecycle. alloc() takes a record from the per-worker freelist
 // (or the heap), resets every field and counts the creation; submit() /
@@ -15,10 +15,13 @@
 // no stack: the worker that first dispatches it binds a pooled stack from
 // its own StackPool cache (bind at first dispatch), and the receiving side
 // of the unit's Done switch releases the stack into *its* cache. Then a
-// joinable unit (abt, mth) publishes `done` and resumes its joiner, whose
-// join() recycles the record; an auto-free unit (qth, joined through its
-// FEB return word) is recycled at once. Only started, unfinished units
-// hold a stack.
+// joinable unit publishes `done` and resumes its joiner, whose join()
+// recycles the record; an auto-free unit is recycled at once. Auto-free
+// and a custom body are properties of the record, set by its creator after
+// alloc(): only native qth::fork* records have them (they run a QthFn and
+// are joined through their FEB return word). Every unit GLT creates, on
+// any backend, is joinable and runs fn(arg). Only started, unfinished
+// units hold a stack.
 //
 // Park protocol. Every blocking wait — a join, a qth FEB op, a sched::
 // sync primitive, a timed wait or a backoff — suspends through
@@ -103,29 +106,37 @@ struct alignas(common::kCacheLine) Record {
   bool pinned = false;     ///< exact placement: only home_rank runs it
   bool is_main = false;    ///< the primary context (the thread that ran init)
   bool stackless = false;  ///< abt tasklet: runs on the scheduler's stack
+  /// Recycled as soon as it finishes instead of publishing `done` for a
+  /// join() that recycles it (native qth forks, joined through `aux`).
+  bool auto_free = false;
   void* user_local = nullptr;  ///< see self_local()
+  /// Runs the unit instead of fn(arg) (native qth forks: a QthFn whose
+  /// result fills the return word).
+  void (*body)(Record*) = nullptr;
 
   static void* operator new(std::size_t size);
   static void operator delete(void* p) noexcept;
 };
 
+/// What sets one backend's engine apart. How a unit runs and whether it is
+/// joined are properties of its record (Record::body, Record::auto_free).
 struct Personality {
   const char* name;  ///< trace labels ("abt-w3") and watchdog dumps
-  /// Runs the unit. nullptr: fn(arg).
-  void (*body)(Record*);
-  /// Recycle a unit as soon as it finishes (qth) instead of publishing
-  /// `done` for a join() that recycles it (abt, mth).
-  bool auto_free;
   /// Work-first (mth): leave() hands off strand-to-strand before falling
   /// back to the scheduler, yields stay stealable, and yield() with
   /// nothing else runnable is a no-op.
   bool work_first;
 };
 
+/// What alloc() makes: a ULT; a stackless tasklet, run on the scheduler's
+/// stack (abt); or a tasklet emulated over a ULT (qth and mth, as in the
+/// original GLT), which runs with a stack but counts as a tasklet.
+enum class Unit : std::uint8_t { ult, tasklet, emulated_tasklet };
+
 /// Engine counters since init.
 struct Counters {
-  std::uint64_t created = 0;          ///< stackful units allocated
-  std::uint64_t tasklets = 0;         ///< stackless units allocated
+  std::uint64_t created = 0;          ///< ULTs allocated
+  std::uint64_t tasklets = 0;         ///< tasklets allocated (native or emulated)
   std::uint64_t yields = 0;           ///< yields that switched away
   std::uint64_t main_migrations = 0;  ///< times main resumed off rank 0
 };
@@ -147,21 +158,21 @@ void finalize();
 /// Racy probe: could this worker's scheduler run anything else now?
 [[nodiscard]] bool maybe_work();
 
-/// A reset, unbound record, counted as created. @p home_rank < 0 means
-/// the caller's rank (rank 0 on a foreign thread).
+/// A reset, unbound, joinable record, counted by @p unit. @p home_rank < 0
+/// means the caller's rank (rank 0 on a foreign thread).
 [[nodiscard]] Record* alloc(WorkFn fn, void* arg, int home_rank, bool pinned,
-                            bool stackless = false);
+                            Unit unit = Unit::ult);
 /// Queues @p r at its home rank (the caller's deque when that is the
 /// caller's own rank and @p r is unpinned).
 void submit(Record* r);
 /// alloc() then submit().
 Record* create(WorkFn fn, void* arg, int home_rank, bool pinned,
-               bool stackless = false);
+               Unit unit = Unit::ult);
 void submit_bulk(Record* const* rs, int n, BulkHint hint);
 /// Work-first spawn from inside a unit: allocates fn(arg), binds it and
 /// switches to it now; the caller's continuation is published (stealable)
 /// when the child starts. Returns the child once the caller resumes.
-Record* spawn(WorkFn fn, void* arg);
+Record* spawn(WorkFn fn, void* arg, Unit unit = Unit::ult);
 /// Waits until joinable @p r is done (parks a unit, spins a foreign
 /// thread), then recycles it.
 void join(Record* r);

@@ -418,6 +418,12 @@ TEST(GltConfig, LongNamesAccepted) {
   EXPECT_EQ(*gg::impl_from_string("massivethreads"), gg::Impl::mth);
 }
 
+TEST(GltConfig, QueriesBeforeInitReportNoTeam) {
+  ASSERT_FALSE(gg::initialized());
+  EXPECT_EQ(gg::num_threads(), 0);
+  EXPECT_EQ(gg::thread_num(), -1);
+}
+
 TEST(GltConfig, EnvConfigParsing) {
   namespace env = glto::common;
   env::env_set("GLT_IMPL", "mth");
