@@ -4,8 +4,8 @@
 # One script, one CMake switch (-DGLTO_SANITIZE=...), three sanitizers:
 #
 #   asan  — the historical sanitized subset (scripts/asan_ctest.sh is now a
-#           shim onto this): taskdep/scheduler/backend/sync/glt suites under
-#           AddressSanitizer with fiber-stack annotations.
+#           shim onto this): taskdep/scheduler/backend/sync/glt/GLTO suites
+#           under AddressSanitizer with fiber-stack annotations.
 #   tsan  — fiber-aware ThreadSanitizer over the FULL ctest suite, once per
 #           ULT backend (GLT_IMPL=abt, qth, mth). fctx announces every
 #           context switch via __tsan_switch_to_fiber, so cross-thread ULT
@@ -41,7 +41,7 @@ case "$san" in
 asan)
   cmake --build "$build" -j"$(nproc)" \
     --target test_taskdep test_bqp test_abt test_qth test_mth test_sched \
-    test_ws_core test_sync test_glt
+    test_ws_core test_sync test_glt test_glto_runtime test_hardening
   ./"$build"/test_taskdep
   ./"$build"/test_bqp
   ./"$build"/test_sched
@@ -55,6 +55,11 @@ asan)
   # GLT conformance over abt/qth/mth: ULT stacks are bound on the
   # dispatching worker, which is also where the ASan fiber bounds are set.
   ./"$build"/test_glt
+  # GLTO task lifetimes: detached task and member ULTs count down latches
+  # in their creator's stack frame (task context, team), and the creator
+  # may return the moment the count reaches zero.
+  ./"$build"/test_glto_runtime
+  ./"$build"/test_hardening
   echo "san_ctest[asan]: all sanitized suites passed"
   ;;
 

@@ -1,5 +1,7 @@
 #include "glt/glt.hpp"
 
+#include <algorithm>
+
 #include "abt/abt.hpp"
 #include "common/debug.hpp"
 #include "common/env.hpp"
@@ -50,16 +52,22 @@ void glt_metrics_provider(void* /*arg*/, sched::MetricsSnapshot& out) {
 /// GLT), still counted as tasklets. mth spawns work-first and has no
 /// placement; otherwise @p tid ≥ 0 pins the unit there, and without a
 /// target it lands on the caller's thread (from a foreign thread: rank 0
-/// on abt, round-robin on qth).
-Ult* create(int tid, WorkFn fn, void* arg, bool tasklet) {
+/// on abt, round-robin on qth). A @p detached unit is auto-free: nobody
+/// joins it, and the returned record must not be used.
+Ult* create(int tid, WorkFn fn, void* arg, bool tasklet,
+            bool detached = false) {
   const Impl impl = g_state->cfg.impl;
   const ult::Unit unit = !tasklet            ? ult::Unit::ult
                          : impl == Impl::abt ? ult::Unit::tasklet
                                              : ult::Unit::emulated_tasklet;
-  if (impl == Impl::mth) return ult::spawn(fn, arg, unit);
-  if (tid >= 0) return ult::create(fn, arg, tid, /*pinned=*/true, unit);
-  const int home = impl == Impl::qth ? qth::fork_shepherd() : -1;
-  return ult::create(fn, arg, home, /*pinned=*/false, unit);
+  if (impl == Impl::mth) return ult::spawn(fn, arg, unit, detached);
+  const int home = tid >= 0            ? tid
+                   : impl == Impl::qth ? qth::fork_shepherd()
+                                       : -1;
+  Ult* u = ult::alloc(fn, arg, home, /*pinned=*/tid >= 0, unit);
+  u->auto_free = detached;
+  ult::submit(u);
+  return u;
 }
 
 }  // namespace
@@ -176,18 +184,32 @@ Ult* ult_create_to(int tid, WorkFn fn, void* arg) {
   return create(tid, fn, arg, /*tasklet=*/false);
 }
 
+void ult_create_detached(int tid, WorkFn fn, void* arg) {
+  (void)create(tid, fn, arg, /*tasklet=*/false, /*detached=*/true);
+}
+
 void ult_create_bulk(WorkFn fn, void* const* args, int n, Ult** out,
                      bool spread) {
-  if (n <= 0) return;
-  for (int i = 0; i < n; ++i) {
-    out[i] = ult::alloc(fn, args[i], /*home_rank=*/-1, /*pinned=*/false);
-  }
   // mth has no placement (the thief decides): spread is advisory, the
   // batch is queued help-first on the caller's deque.
-  ult::submit_bulk(out, n,
-                   spread && g_state->cfg.impl != Impl::mth
-                       ? sched::BulkHint::spread
-                       : sched::BulkHint::local);
+  const sched::BulkHint hint = spread && g_state->cfg.impl != Impl::mth
+                                   ? sched::BulkHint::spread
+                                   : sched::BulkHint::local;
+  // Detached records are staged on the stack, in waves: once submitted
+  // they belong to the engine.
+  constexpr int kWave = 256;
+  Ult* wave[kWave];
+  for (int done = 0; done < n;) {
+    const int take = out != nullptr ? n : std::min(kWave, n - done);
+    Ult** rs = out != nullptr ? out : wave;
+    for (int i = 0; i < take; ++i) {
+      rs[i] = ult::alloc(fn, args[done + i], /*home_rank=*/-1,
+                         /*pinned=*/false);
+      rs[i]->auto_free = out == nullptr;
+    }
+    ult::submit_bulk(rs, take, hint);
+    done += take;
+  }
 }
 
 bool ult_is_done(Ult* u) { return ult::is_done(u); }

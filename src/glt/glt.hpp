@@ -88,9 +88,17 @@ Ult* ult_create_to(int tid, WorkFn fn, void* arg);
 /// work-first, and spread is advisory as always. No unit takes a stack
 /// here: each binds one when it first runs, on the GLT_thread that runs
 /// it, so stack residency follows running units, not queued ones.
-/// Handles are written to @p out[0..n).
+/// Handles are written to @p out[0..n); a null @p out creates the units
+/// detached (see ult_create_detached).
 void ult_create_bulk(WorkFn fn, void* const* args, int n, Ult** out,
                      bool spread);
+
+/// Creates a *detached* ULT: no handle, never joined; its record is
+/// recycled by the engine the moment the unit finishes (Argobots' unnamed
+/// ULT, qthread_fork without a return word, myth_detach). @p tid < 0
+/// places it like ult_create, @p tid ≥ 0 like ult_create_to. Completion
+/// is the caller's to signal (GLTO counts its tasks down a latch).
+void ult_create_detached(int tid, WorkFn fn, void* arg);
 
 /// Waits for the ULT and destroys it.
 void ult_join(Ult* u);

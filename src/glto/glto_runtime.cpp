@@ -25,18 +25,6 @@ namespace {
 
 using omp::Schedule;
 
-constexpr int kLoopRing = 8;  ///< concurrent nowait loop descriptors per team
-
-/// One work-sharing loop instance shared by a team.
-struct LoopDesc {
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  std::int64_t chunk = 0;
-  Schedule sched = Schedule::Static;
-  std::atomic<std::int64_t> next{0};
-  std::atomic<std::uint64_t> ready_seq{0};  ///< loop instance published
-};
-
 struct TaskCtx;
 
 using omp::detail::DepPayload;
@@ -45,7 +33,8 @@ using omp::detail::tg_cancelled;
 using omp::detail::TgScope;
 
 /// A parallel team: fixed membership, barrier, single/loop bookkeeping.
-struct Team {
+/// Lives on the forking master's stack.
+struct Team : omp::detail::TeamShare {
   int size = 1;
   int level = 0;
   Team* parent = nullptr;
@@ -55,12 +44,10 @@ struct Team {
   // flock through the core's targeted-wake path — no sleep quantum.
   sched::Barrier barrier;
 
-  // single construct arbitration (see single_try()).
-  std::atomic<std::uint64_t> single_claimed{0};
-
-  // Work-sharing loop instances (ring buffer, nowait-tolerant).
-  LoopDesc loops[kLoopRing];
-  std::atomic<std::uint64_t> loops_inited{0};
+  /// Non-master members still running. Their ULTs are detached: each
+  /// counts down here as its last access to the team, and the master
+  /// waits for zero before the team leaves its stack.
+  sched::CompletionLatch members;
 
   // Round-robin cursor for producer-pattern task dispatch (§IV-D).
   std::atomic<std::uint64_t> task_rr{0};
@@ -69,7 +56,7 @@ struct Team {
 /// Execution context of an implicit or explicit OpenMP task. Lives on the
 /// executing ULT's stack; reachable via glt::self_local(), so it follows
 /// the ULT across suspensions and (mth) steals.
-struct TaskCtx {
+struct TaskCtx : omp::detail::MemberShare {
   Team* team = nullptr;
   int tid = 0;
   TaskCtx* parent = nullptr;
@@ -79,26 +66,15 @@ struct TaskCtx {
   /// tests observe).
   bool is_explicit_task = false;
 
-  // Outstanding child-task ULT handles (creator-owned; see header note).
-  common::SpinLock child_lock;
-  std::vector<glt::Ult*> children;
-  /// Dependent children the engine is still withholding: submitted, but
-  /// their ULT not yet created. join/taskwait must wait these out too —
-  /// the wake-up pushes the handle into `children` before counting down.
-  sched::CompletionLatch deferred;
+  /// Unfinished child tasks: added before a child is created or handed to
+  /// the dependence engine, counted down by the child as its last access
+  /// to this context. taskwait waits for zero; the context's owner always
+  /// does before its frame ends (see header note).
+  sched::CompletionLatch children;
   /// Innermost active taskgroup of this task (nullptr outside groups).
   TgScope* group = nullptr;
 
-  // Per-member construct counters.
-  std::uint64_t single_seq = 0;
-  std::uint64_t loop_seq = 0;
-
-  // Active loop state.
-  LoopDesc* loop = nullptr;
-  std::int64_t static_k = 0;  ///< next static chunk index for this member
-
-  // Producer-pattern detection for task dispatch.
-  bool in_single = false;
+  // Producer-pattern detection for task dispatch (in_single: MemberShare).
   bool in_master = false;
 };
 
@@ -115,7 +91,7 @@ struct TaskCtx {
 }
 
 /// Argument block for team-member ULT thunks. RegionBody is non-owning:
-/// the forking caller's frame outlives the join.
+/// the forking caller's frame outlives the member (Team::members).
 struct MemberArg {
   Team* team;
   int tid;
@@ -133,7 +109,7 @@ struct TaskArg : DepPayload {
   Team* team = nullptr;
   omp::TaskDesc desc;
   GltoRuntime* rt = nullptr;
-  TaskCtx* parent = nullptr;            ///< creator (outlives us: it joins)
+  TaskCtx* parent = nullptr;            ///< creator (waits for our count_down)
   TgScope* group = nullptr;             ///< enclosing taskgroup, if any
   taskdep::TaskNode* node = nullptr;    ///< non-null for depend tasks
   std::uint64_t submit_ns = 0;          ///< latency profiling stamp (0 = off)
@@ -221,22 +197,18 @@ class GltoRuntime final : public omp::Runtime {
     // victim receives many units.
     const bool outer = new_level == 1;
     std::vector<MemberArg> args(static_cast<std::size_t>(nth));
-    std::vector<glt::Ult*> ults;
-    ults.reserve(static_cast<std::size_t>(nth > 0 ? nth - 1 : 0));
+    if (nth > 1) team.members.add(nth - 1);
     const int glt_n = glt::num_threads();
     for (int i = 1; i < nth; ++i) {
       args[static_cast<std::size_t>(i)] = MemberArg{&team, i, body};
-      glt::Ult* u =
-          outer ? glt::ult_create_to(i % glt_n, member_thunk,
-                                     &args[static_cast<std::size_t>(i)])
-                : glt::ult_create(member_thunk,
-                                  &args[static_cast<std::size_t>(i)]);
-      ults.push_back(u);
+      glt::ult_create_detached(outer ? i % glt_n : -1, member_thunk,
+                               &args[static_cast<std::size_t>(i)]);
     }
 
-    // Master executes member 0 inline, then joins (implicit barrier).
+    // Master executes member 0 inline, then waits for the rest (implicit
+    // barrier).
     run_member(&team, 0, body, pctx);
-    for (auto* u : ults) glt::ult_join(u);
+    team.members.wait();
   }
 
   int thread_num() override {
@@ -260,87 +232,13 @@ class GltoRuntime final : public omp::Runtime {
   void loop_begin(std::int64_t lo, std::int64_t hi, Schedule sched,
                   std::int64_t chunk) override {
     TaskCtx* c = cur();
-    Team* t = c->team;
-    const std::uint64_t seq = c->loop_seq++;
-    LoopDesc& d = t->loops[seq % kLoopRing];
-    std::uint64_t expected = seq;
-    if (t->loops_inited.compare_exchange_strong(expected, seq + 1,
-                                                std::memory_order_acq_rel)) {
-      d.lo = lo;
-      d.hi = hi;
-      d.sched = sched;
-      d.chunk = chunk;
-      d.next.store(lo, std::memory_order_relaxed);
-      d.ready_seq.store(seq + 1, std::memory_order_release);
-    } else {
-      while (d.ready_seq.load(std::memory_order_acquire) < seq + 1) {
-        glt::yield();
-      }
-    }
-    c->loop = &d;
-    c->static_k = 0;
+    omp::detail::loop_begin(*c->team, *c, lo, hi, sched, chunk,
+                            [] { glt::yield(); });
   }
 
   bool loop_next(std::int64_t* lo, std::int64_t* hi) override {
     TaskCtx* c = cur();
-    LoopDesc* d = c->loop;
-    GLTO_CHECK_MSG(d != nullptr, "loop_next outside a loop construct");
-    const std::int64_t n = d->hi - d->lo;
-    if (n <= 0) return false;
-    const int p = c->team->size;
-    switch (d->sched) {
-      case Schedule::Auto:
-      case Schedule::Runtime:  // resolved by the facade; fall back safely
-      case Schedule::Static: {
-        if (d->chunk <= 0) {
-          // One balanced block per member.
-          if (c->static_k > 0) return false;
-          const std::int64_t base = n / p, rem = n % p;
-          const std::int64_t b =
-              d->lo + c->tid * base + std::min<std::int64_t>(c->tid, rem);
-          const std::int64_t e = b + base + (c->tid < rem ? 1 : 0);
-          if (b >= e) return false;
-          *lo = b;
-          *hi = e;
-          c->static_k = 1;
-          return true;
-        }
-        // Round-robin chunks: tid, tid+p, tid+2p, ...
-        const std::int64_t idx = c->tid + c->static_k * p;
-        const std::int64_t b = d->lo + idx * d->chunk;
-        if (b >= d->hi) return false;
-        *lo = b;
-        *hi = std::min(d->hi, b + d->chunk);
-        c->static_k++;
-        return true;
-      }
-      case Schedule::Dynamic: {
-        const std::int64_t step = d->chunk > 0 ? d->chunk : 1;
-        const std::int64_t b =
-            d->next.fetch_add(step, std::memory_order_relaxed);
-        if (b >= d->hi) return false;
-        *lo = b;
-        *hi = std::min(d->hi, b + step);
-        return true;
-      }
-      case Schedule::Guided: {
-        const std::int64_t min_chunk = d->chunk > 0 ? d->chunk : 1;
-        std::int64_t b = d->next.load(std::memory_order_relaxed);
-        for (;;) {
-          if (b >= d->hi) return false;
-          const std::int64_t remaining = d->hi - b;
-          const std::int64_t take =
-              std::max<std::int64_t>(min_chunk, remaining / (2 * p));
-          if (d->next.compare_exchange_weak(b, b + take,
-                                            std::memory_order_relaxed)) {
-            *lo = b;
-            *hi = std::min(d->hi, b + take);
-            return true;
-          }
-        }
-      }
-    }
-    return false;
+    return omp::detail::loop_next(*c, c->tid, c->team->size, lo, hi);
   }
 
   void loop_end() override { cur()->loop = nullptr; }
@@ -349,14 +247,7 @@ class GltoRuntime final : public omp::Runtime {
 
   bool single_try() override {
     TaskCtx* c = cur();
-    const std::uint64_t mine = ++c->single_seq;
-    std::uint64_t expected = mine - 1;
-    if (c->team->single_claimed.compare_exchange_strong(
-            expected, mine, std::memory_order_acq_rel)) {
-      c->in_single = true;
-      return true;
-    }
-    return false;
+    return omp::detail::single_try(*c->team, *c);
   }
 
   void single_done() override { cur()->in_single = false; }
@@ -408,62 +299,29 @@ class GltoRuntime final : public omp::Runtime {
       inline_ctx.is_explicit_task = true;
       glt::set_self_local(&inline_ctx);
       // Cancellation: a member of a cancelled taskgroup skips its body
-      // but keeps the full completion protocol (dep release, child join).
+      // but keeps the full completion protocol (dep release, child wait).
       if (!tg_cancelled(c->group)) desc.run();
-      // Release at task completion, before the child join — same rule as
+      // Release at task completion, before the child wait — same rule as
       // task_thunk: a child depending on this task's own dep object must
-      // be releasable here or the join would spin on it forever.
+      // be releasable here or the wait would block on it forever.
       if (node != nullptr) dep_engine_.complete(node);
-      join_children(&inline_ctx);
+      inline_ctx.children.wait();
       glt::set_self_local(c);
       return;
     }
     tasks_queued_.fetch_add(1, std::memory_order_relaxed);
-    TaskArg* arg = alloc_task_arg();
-    arg->team = c->team;
-    arg->desc = std::move(desc);
-    arg->rt = this;
-    arg->parent = c;
-    arg->group = c->group;
-    arg->submit_ns =
-        sched::profile_task_submit(reinterpret_cast<std::uintptr_t>(arg));
-    if (arg->group != nullptr) arg->group->latch.add(1);
+    TaskArg* arg = new_task_arg(c, std::move(desc));
     if (has_deps) {
       // The ULT is NOT created yet: the engine withholds the task until
       // its release counter hits zero, then the completing predecessor's
       // thread spawns it straight onto its own work-stealing deque.
-      c->deferred.add(1);
       auto sub = dep_engine_.submit(arg, flags.depend.data(),
                                     flags.depend.size(), dep_domain(c));
       if (!sub.ready) return;  // wake-up owns arg from submit() onward
       arg->node = sub.node;
-      spawn_dep_task(arg, c->in_single || c->in_master
-                              ? SpawnVia::producer_rr
-                              : SpawnVia::local);
-      return;
     }
-    if (sched::chaos_spawn_fail()) {
-      // Injected ULT-creation failure: degrade to inline execution. The
-      // thunk runs the full completion protocol on the caller's context;
-      // no handle to join, so nothing is pushed to children.
-      run_task_inline_now(arg);
-      return;
-    }
-    glt::Ult* u;
-    if (c->in_single || c->in_master) {
-      // Producer pattern (§IV-D): one context creates all tasks; dispatch
-      // round-robin so every GLT_thread consumes.
-      const auto target = c->team->task_rr.fetch_add(
-          1, std::memory_order_relaxed);
-      u = glt::ult_create_to(
-          static_cast<int>(target %
-                           static_cast<std::uint64_t>(glt::num_threads())),
-          task_thunk, arg);
-    } else {
-      u = glt::ult_create(task_thunk, arg);
-    }
-    common::SpinGuard g(c->child_lock);
-    c->children.push_back(u);
+    spawn(arg, c->in_single || c->in_master ? SpawnVia::producer_rr
+                                            : SpawnVia::local);
   }
 
   /// Batch spawn: the whole burst becomes ULTs deposited into the GLT
@@ -486,33 +344,19 @@ class GltoRuntime final : public omp::Runtime {
     const bool spread = c->in_single || c->in_master;
     constexpr std::size_t kWave = 256;
     void* argv[kWave];
-    glt::Ult* handles[kWave];
     std::size_t done = 0;
     while (done < n) {
       const std::size_t take = std::min<std::size_t>(kWave, n - done);
       for (std::size_t i = 0; i < take; ++i) {
-        TaskArg* arg = alloc_task_arg();
-        arg->team = c->team;
-        arg->desc = std::move(descs[done + i]);
-        arg->rt = this;
-        arg->parent = c;
-        arg->group = c->group;
-        if (arg->group != nullptr) arg->group->latch.add(1);
-        arg->submit_ns = sched::profile_task_submit(
-            reinterpret_cast<std::uintptr_t>(arg));
-        argv[i] = arg;
+        argv[i] = new_task_arg(c, std::move(descs[done + i]));
       }
       glt::ult_create_bulk(task_thunk, argv, static_cast<int>(take),
-                           handles, spread);
-      {
-        common::SpinGuard g(c->child_lock);
-        c->children.insert(c->children.end(), handles, handles + take);
-      }
+                           /*out=*/nullptr, spread);
       done += take;
     }
   }
 
-  void taskwait() override { join_children(cur()); }
+  void taskwait() override { cur()->children.wait(); }
 
   void taskgroup_begin() override {
     TaskCtx* c = cur();
@@ -525,11 +369,11 @@ class GltoRuntime final : public omp::Runtime {
     TaskCtx* c = cur();
     TgScope* g = c->group;
     GLTO_CHECK_MSG(g != nullptr, "taskgroup_end without taskgroup_begin");
-    // Wait only for this group's tasks; their ULT handles stay in
-    // c->children and are joined (already Done) at the next taskwait or
-    // the implicit region join. Blocks outright: the last finishing
-    // member's count_down wakes this ULT, and the latch's locked
-    // zero-observation protocol makes the delete safe immediately after.
+    // Wait only for this group's tasks; they also count down c->children,
+    // which the next taskwait or the task's end waits out. Blocks
+    // outright: the last finishing member's count_down wakes this ULT,
+    // and the latch's locked zero-observation protocol makes the delete
+    // safe immediately after.
     g->latch.wait();
     c->group = g->parent;
     delete g;
@@ -563,8 +407,9 @@ class GltoRuntime final : public omp::Runtime {
   }
 
   bool taskwait_for_us(std::int64_t timeout_us) override {
-    return join_children_until(cur(), /*timed=*/true,
-                               common::now_ns() + timeout_us * 1000);
+    // On timeout the children keep running and counting down; the next
+    // taskwait (or the task's end) waits for the rest.
+    return cur()->children.wait_until(common::now_ns() + timeout_us * 1000);
   }
 
   omp::TaskStats task_stats() override {
@@ -611,7 +456,7 @@ class GltoRuntime final : public omp::Runtime {
     ctx.in_master = tid == 0;  // master thread: producer dispatch applies
     glt::set_self_local(&ctx);
     body(tid, team->size);
-    join_children(&ctx);  // implicit-barrier task completion
+    ctx.children.wait();  // implicit-barrier task completion
     glt::set_self_local(parent);
   }
 
@@ -622,7 +467,24 @@ class GltoRuntime final : public omp::Runtime {
     ctx.tid = a->tid;
     glt::set_self_local(&ctx);
     a->body(a->tid, a->team->size);
-    join_children(&ctx);
+    ctx.children.wait();
+    a->team->members.count_down();  // last access to the master's frame
+  }
+
+  /// A task record for a child of @p c, already counted in c->children
+  /// (and in its taskgroup, if any).
+  TaskArg* new_task_arg(TaskCtx* c, omp::TaskDesc&& desc) {
+    TaskArg* arg = alloc_task_arg();
+    arg->team = c->team;
+    arg->desc = std::move(desc);
+    arg->rt = this;
+    arg->parent = c;
+    arg->group = c->group;
+    c->children.add(1);
+    if (arg->group != nullptr) arg->group->latch.add(1);
+    arg->submit_ns =
+        sched::profile_task_submit(reinterpret_cast<std::uintptr_t>(arg));
+    return arg;
   }
 
   static void task_thunk(void* p) {
@@ -638,12 +500,12 @@ class GltoRuntime final : public omp::Runtime {
     ctx.is_explicit_task = true;
     ctx.parent = a->parent;
     // Taskgroup membership is inherited: tasks this body creates belong to
-    // the creator's group (they bump pending before our join, and we join
-    // them before our own decrement, so pending cannot hit zero early).
+    // the creator's group (they bump pending before our wait, and we wait
+    // them out before our own decrement, so pending cannot hit zero early).
     ctx.group = a->group;
     glt::set_self_local(&ctx);
     // Cancellation: a member of a cancelled taskgroup skips its body but
-    // keeps the full completion protocol below, so joins, dep gates, and
+    // keeps the full completion protocol below, so waits, dep gates, and
     // pending-waits always terminate.
     const std::uint64_t t_start = sched::profile_task_start(
         a->submit_ns, reinterpret_cast<std::uintptr_t>(a));
@@ -651,14 +513,16 @@ class GltoRuntime final : public omp::Runtime {
     sched::profile_task_complete(t_start,
                                  reinterpret_cast<std::uintptr_t>(a));
     // Dependences release at *task* completion (OpenMP's rule), before the
-    // transitive child join: children submit into their own dependence
+    // transitive child wait: children submit into their own dependence
     // domain (keyed by this ctx) so they can never gate on this node, and
     // a sibling legitimately depending on it must be releasable here
-    // (joining first would withhold that sibling forever).
+    // (waiting first would withhold that sibling forever).
     if (a->node != nullptr) a->rt->dep_engine_.complete(a->node);
-    join_children(&ctx);
+    ctx.children.wait();
     if (a->group != nullptr) a->group->latch.count_down();
+    TaskCtx* parent = a->parent;
     free_task_arg(a);
+    parent->children.count_down();  // last access to the creator
   }
 
   /// Chaos degrade path: runs a fully-initialised TaskArg inline on the
@@ -671,48 +535,31 @@ class GltoRuntime final : public omp::Runtime {
     glt::set_self_local(saved);
   }
 
-  /// How a ready depend task's ULT is placed.
+  /// How a ready task's ULT is placed.
   enum class SpawnVia {
     local,        ///< the caller's own queue (worker submit or dep wake-up)
-    producer_rr,  ///< submit-time ready, single/master producer: fan out
+    producer_rr,  ///< single/master producer: fan out round-robin (§IV-D)
   };
 
-  /// Creates the ULT of a depend task whose release counter reached zero
-  /// (at submit, or via the engine's wake-up on the thread that completed
-  /// the final predecessor — landing the task on that thread's own
-  /// work-stealing deque). Pushes the handle before decrementing
-  /// `deferred` so join_children cannot miss it.
-  void spawn_dep_task(TaskArg* arg, SpawnVia via) {
-    // Everything needed after the create goes to locals FIRST: work-first
-    // backends (mth) run the task to completion inside ult_create, and
-    // task_thunk deletes arg when it finishes.
-    TaskCtx* parent = arg->parent;
+  /// Creates the detached ULT of a ready task: at submit, or for a depend
+  /// task via the engine's wake-up on the thread that completed the final
+  /// predecessor — landing the task on that thread's own work-stealing
+  /// deque.
+  static void spawn(TaskArg* arg, SpawnVia via) {
     if (sched::chaos_spawn_fail()) {
-      // Injected ULT-creation failure on the dependency release path: the
-      // task runs inline on the releasing thread. No handle to publish;
-      // the decrement comes after full completion, so a join that reads
-      // deferred==0 has nothing left to wait for.
+      // Injected ULT-creation failure: degrade to inline execution with
+      // the full completion protocol.
       run_task_inline_now(arg);
-      parent->deferred.count_down();
       return;
     }
-    Team* team = arg->team;
-    glt::Ult* u;
+    int tid = -1;
     if (via == SpawnVia::producer_rr) {
       const auto target =
-          team->task_rr.fetch_add(1, std::memory_order_relaxed);
-      u = glt::ult_create_to(
-          static_cast<int>(target %
-                           static_cast<std::uint64_t>(glt::num_threads())),
-          task_thunk, arg);
-    } else {
-      u = glt::ult_create(task_thunk, arg);
+          arg->team->task_rr.fetch_add(1, std::memory_order_relaxed);
+      tid = static_cast<int>(
+          target % static_cast<std::uint64_t>(glt::num_threads()));
     }
-    {
-      common::SpinGuard g(parent->child_lock);
-      parent->children.push_back(u);
-    }
-    parent->deferred.count_down();
+    glt::ult_create_detached(tid, task_thunk, arg);
   }
 
   /// Dependency-engine wake-up: runs on the thread that completed the
@@ -725,7 +572,7 @@ class GltoRuntime final : public omp::Runtime {
     }
     auto* arg = static_cast<TaskArg*>(pl);
     arg->node = node;
-    arg->rt->spawn_dep_task(arg, SpawnVia::local);
+    spawn(arg, SpawnVia::local);
   }
 
   /// Batch wake-up: one completing predecessor released @p n successors
@@ -737,10 +584,7 @@ class GltoRuntime final : public omp::Runtime {
                                   taskdep::TaskNode* const* nodes,
                                   std::size_t n) {
     constexpr std::size_t kWave = 64;
-    TaskArg* wave[kWave];
-    TaskCtx* parents[kWave];
-    void* argv[kWave];
-    glt::Ult* handles[kWave];
+    void* wave[kWave];
     std::size_t pending = 0;
     for (std::size_t i = 0; i <= n; ++i) {
       if (i < n) {
@@ -759,98 +603,13 @@ class GltoRuntime final : public omp::Runtime {
         // Under chaos every wake-up goes per-task so each one passes the
         // spawn-fail hook.
         for (std::size_t k = 0; k < pending; ++k) {
-          wave[k]->rt->spawn_dep_task(wave[k], SpawnVia::local);
+          spawn(static_cast<TaskArg*>(wave[k]), SpawnVia::local);
         }
-        pending = 0;
-        continue;
-      }
-      // Snapshot creator pointers BEFORE the create: a deposited task can
-      // run to completion (and free its arg) on another thread while this
-      // loop is still publishing handles.
-      for (std::size_t k = 0; k < pending; ++k) {
-        parents[k] = wave[k]->parent;
-        argv[k] = wave[k];
-      }
-      glt::ult_create_bulk(task_thunk, argv, static_cast<int>(pending),
-                           handles, /*spread=*/false);
-      for (std::size_t k = 0; k < pending; ++k) {
-        {
-          common::SpinGuard g(parents[k]->child_lock);
-          parents[k]->children.push_back(handles[k]);
-        }
-        parents[k]->deferred.count_down();
+      } else {
+        glt::ult_create_bulk(task_thunk, wave, static_cast<int>(pending),
+                             /*out=*/nullptr, /*spread=*/false);
       }
       pending = 0;
-    }
-  }
-
-  static void join_children(TaskCtx* c) {
-    (void)join_children_until(c, /*timed=*/false, {});
-  }
-
-  /// Child join, optionally bounded by @p deadline_ns. Untimed mode joins
-  /// everything: ult_join parks on in-flight children, and while the
-  /// dependency engine still withholds children the join parks on
-  /// `deferred` until their handles are published. Timed mode only reaps
-  /// children that have already finished (glt::ult_is_done) — a blocking
-  /// ult_join could overshoot the budget by the child's whole runtime —
-  /// and sleeps through backoff_until between reaps, returning false at
-  /// the deadline; unfinished children go back into c->children and are
-  /// joined by the next untimed wait, so a timed-out join leaves the task
-  /// tree fully consistent.
-  static bool join_children_until(TaskCtx* c, bool timed,
-                                  std::int64_t deadline_ns) {
-    // Reap cadence of a timed join: short against a task's runtime, long
-    // against one park.
-    constexpr std::int64_t kReapNs = 50'000;
-    for (;;) {
-      std::vector<glt::Ult*> grabbed;
-      {
-        common::SpinGuard g(c->child_lock);
-        grabbed.swap(c->children);
-      }
-      if (!grabbed.empty()) {
-        bool progressed = false;
-        if (!timed) {
-          for (auto* u : grabbed) glt::ult_join(u);
-          // Hand the drained buffer back so the next wave reuses its
-          // capacity instead of regrowing from zero — unless a dependence
-          // wake-up pushed a handle meanwhile (then that buffer stays).
-          grabbed.clear();
-          {
-            common::SpinGuard g(c->child_lock);
-            if (c->children.empty()) c->children.swap(grabbed);
-          }
-          progressed = true;
-        } else {
-          std::vector<glt::Ult*> keep;
-          for (auto* u : grabbed) {
-            if (glt::ult_is_done(u)) {
-              glt::ult_join(u);  // already Done: reclaim, never blocks long
-              progressed = true;
-            } else {
-              keep.push_back(u);
-            }
-          }
-          if (!keep.empty()) {
-            common::SpinGuard g(c->child_lock);
-            c->children.insert(c->children.end(), keep.begin(), keep.end());
-          }
-        }
-        if (progressed) continue;
-      } else if (c->deferred.try_wait()) {
-        // A wake-up pushes the child handle *before* counting down
-        // `deferred`, so after observing zero one locked re-check suffices.
-        common::SpinGuard g(c->child_lock);
-        if (c->children.empty()) return true;
-        continue;
-      } else if (!timed) {
-        c->deferred.wait();  // withheld children: park until published
-        continue;
-      }
-      const std::int64_t now = common::now_ns();
-      if (now >= deadline_ns) return false;
-      sched::backoff_until(std::min(deadline_ns, now + kReapNs));
     }
   }
 

@@ -5,7 +5,10 @@
 //    to cores (§IV-B). Teams never create OS threads.
 //  * Work-sharing regions (§IV-C): the master creates one GLT_ult per
 //    non-master team member, dispatched to GLT_thread i, runs member 0's
-//    share inline, then joins — mimicking the Intel/GNU fork-join shape.
+//    share inline, then waits for the members — mimicking the Intel/GNU
+//    fork-join shape. Member and task ULTs are detached (nobody holds
+//    their handles): each counts itself down a latch in the team or in
+//    its creator's task context.
 //  * Tasks (§IV-D): every `task` becomes a GLT_ult. When the creating
 //    context sits inside a single/master region (the producer pattern),
 //    tasks are dispatched **round-robin** across all GLT_threads;
@@ -25,10 +28,11 @@
 //    thread then spawns it onto its own work-stealing deque.
 //
 // Deviation noted for reviewers: a task implicitly waits for its child
-// tasks when it finishes (transitive join). OpenMP lets children outlive
-// parents until the next barrier; the transitive join gives the same
-// region-barrier guarantee with creator-owned ULT handles and does not
-// change any pattern the paper measures. taskgroup is group-scoped: it
+// tasks when it finishes (transitive wait). OpenMP lets children outlive
+// parents until the next barrier; the transitive wait gives the same
+// region-barrier guarantee while every child counts down a latch in its
+// creator's stack-resident context, and does not change any pattern the
+// paper measures. taskgroup is group-scoped: it
 // waits only for tasks created inside the group (plus their descendants,
 // transitively) — never for siblings created before it, even inside a
 // depend task.

@@ -477,9 +477,9 @@ bool cancel();
 [[nodiscard]] bool cancellation_point();
 
 /// Deadline form of taskwait: waits for the calling task's children for
-/// at most @p timeout. True → join completed; false → timeout (the
-/// children keep running and remain joined by the next taskwait or
-/// region end — a timed-out wait never detaches anything).
+/// at most @p timeout. True → they all completed; false → timeout (the
+/// children keep running and the next taskwait or region end still
+/// waits for them — a timed-out wait abandons no child).
 bool taskwait_for(std::chrono::microseconds timeout);
 
 /// #pragma omp taskgroup with a deadline: runs @p body, then waits at

@@ -177,9 +177,9 @@ class Runtime {
   [[nodiscard]] virtual bool cancellation_requested() { return false; }
 
   /// Deadline form of taskwait: waits for the calling task's children for
-  /// at most @p timeout_us microseconds. Returns true when the join
-  /// completed, false on timeout — the children keep running and remain
-  /// joined by the next taskwait/region end, so a timed-out wait leaves
+  /// at most @p timeout_us microseconds. Returns true when they all
+  /// completed, false on timeout — the children keep running and the next
+  /// taskwait/region end still waits for them, so a timed-out wait leaves
   /// the tree consistent. Default: the blocking taskwait (no deadline
   /// support; never reports timeout).
   virtual bool taskwait_for_us(std::int64_t timeout_us) {

@@ -33,15 +33,6 @@ namespace {
 
 using omp::Schedule;
 
-constexpr int kLoopRing = 8;
-
-struct LoopDesc {
-  std::int64_t lo = 0, hi = 0, chunk = 0;
-  Schedule sched = Schedule::Static;
-  std::atomic<std::int64_t> next{0};
-  std::atomic<std::uint64_t> ready_seq{0};
-};
-
 struct TaskCtx;
 class PompRuntime;
 
@@ -57,8 +48,9 @@ using omp::detail::TgScope;
   return reinterpret_cast<std::uintptr_t>(c);
 }
 
-/// RAII watchdog bracket for pomp's helping wait loops (the pthread
-/// analog of GLTO's WaitBackoff registration).
+/// RAII watchdog bracket for pomp's helping wait loops: they spin rather
+/// than park, so they register as waiters here (a parked wait registers
+/// itself in sched::sync_detail::park_current).
 struct WatchdogWaitScope {
   WatchdogWaitScope() { sched::watchdog_enter_wait(); }
   ~WatchdogWaitScope() { sched::watchdog_exit_wait(); }
@@ -103,7 +95,7 @@ void free_task_rec(TaskRec* r) {
   rec_pool().recycle(omp::detail::record_rank(), r);
 }
 
-struct PompTeam {
+struct PompTeam : omp::detail::TeamShare {
   int size = 1;
   int level = 0;
   PompTeam* parent = nullptr;
@@ -111,9 +103,6 @@ struct PompTeam {
 
   std::atomic<int> barrier_arrived{0};
   std::atomic<std::uint64_t> barrier_epoch{0};
-  std::atomic<std::uint64_t> single_claimed{0};
-  LoopDesc loops[kLoopRing];
-  std::atomic<std::uint64_t> loops_inited{0};
 
   /// Deferred tasks belonging to this region, not yet finished.
   std::atomic<std::int64_t> tasks_outstanding{0};
@@ -127,16 +116,11 @@ struct PompTeam {
 /// Execution context of an implicit or explicit task on a pthread.
 /// pthread-based runtimes never migrate running tasks, so a plain
 /// thread_local current pointer suffices.
-struct TaskCtx {
+struct TaskCtx : omp::detail::MemberShare {
   PompTeam* team = nullptr;
   int tid = 0;
   TaskCtx* parent = nullptr;
   std::atomic<std::int64_t> children_outstanding{0};
-  std::uint64_t single_seq = 0;
-  std::uint64_t loop_seq = 0;
-  LoopDesc* loop = nullptr;
-  std::int64_t static_k = 0;
-  bool in_single = false;
   bool in_master = false;
   TgScope* group = nullptr;  ///< innermost active taskgroup of this task
 };
@@ -286,85 +270,13 @@ class PompRuntime : public omp::Runtime {
   void loop_begin(std::int64_t lo, std::int64_t hi, Schedule sched,
                   std::int64_t chunk) override {
     TaskCtx* c = t_ctx;
-    PompTeam* t = c->team;
-    const std::uint64_t seq = c->loop_seq++;
-    LoopDesc& d = t->loops[seq % kLoopRing];
-    std::uint64_t expected = seq;
-    if (t->loops_inited.compare_exchange_strong(expected, seq + 1,
-                                                std::memory_order_acq_rel)) {
-      d.lo = lo;
-      d.hi = hi;
-      d.sched = sched;
-      d.chunk = chunk;
-      d.next.store(lo, std::memory_order_relaxed);
-      d.ready_seq.store(seq + 1, std::memory_order_release);
-    } else {
-      while (d.ready_seq.load(std::memory_order_acquire) < seq + 1) {
-        wait_relax();
-      }
-    }
-    c->loop = &d;
-    c->static_k = 0;
+    omp::detail::loop_begin(*c->team, *c, lo, hi, sched, chunk,
+                            [this] { wait_relax(); });
   }
 
   bool loop_next(std::int64_t* lo, std::int64_t* hi) override {
     TaskCtx* c = t_ctx;
-    LoopDesc* d = c->loop;
-    GLTO_CHECK_MSG(d != nullptr, "loop_next outside a loop construct");
-    const std::int64_t n = d->hi - d->lo;
-    if (n <= 0) return false;
-    const int p = c->team->size;
-    switch (d->sched) {
-      case Schedule::Auto:
-      case Schedule::Runtime:  // resolved by the facade; fall back safely
-      case Schedule::Static: {
-        if (d->chunk <= 0) {
-          if (c->static_k > 0) return false;
-          const std::int64_t base = n / p, rem = n % p;
-          const std::int64_t b =
-              d->lo + c->tid * base + std::min<std::int64_t>(c->tid, rem);
-          const std::int64_t e = b + base + (c->tid < rem ? 1 : 0);
-          if (b >= e) return false;
-          *lo = b;
-          *hi = e;
-          c->static_k = 1;
-          return true;
-        }
-        const std::int64_t idx = c->tid + c->static_k * p;
-        const std::int64_t b = d->lo + idx * d->chunk;
-        if (b >= d->hi) return false;
-        *lo = b;
-        *hi = std::min(d->hi, b + d->chunk);
-        c->static_k++;
-        return true;
-      }
-      case Schedule::Dynamic: {
-        const std::int64_t step = d->chunk > 0 ? d->chunk : 1;
-        const std::int64_t b =
-            d->next.fetch_add(step, std::memory_order_relaxed);
-        if (b >= d->hi) return false;
-        *lo = b;
-        *hi = std::min(d->hi, b + step);
-        return true;
-      }
-      case Schedule::Guided: {
-        const std::int64_t min_chunk = d->chunk > 0 ? d->chunk : 1;
-        std::int64_t b = d->next.load(std::memory_order_relaxed);
-        for (;;) {
-          if (b >= d->hi) return false;
-          const std::int64_t remaining = d->hi - b;
-          const std::int64_t take =
-              std::max<std::int64_t>(min_chunk, remaining / (2 * p));
-          if (d->next.compare_exchange_weak(b, b + take,
-                                            std::memory_order_relaxed)) {
-            *lo = b;
-            *hi = std::min(d->hi, b + take);
-            return true;
-          }
-        }
-      }
-    }
-    return false;
+    return omp::detail::loop_next(*c, c->tid, c->team->size, lo, hi);
   }
 
   void loop_end() override { t_ctx->loop = nullptr; }
@@ -395,14 +307,7 @@ class PompRuntime : public omp::Runtime {
 
   bool single_try() override {
     TaskCtx* c = t_ctx;
-    const std::uint64_t mine = ++c->single_seq;
-    std::uint64_t expected = mine - 1;
-    if (c->team->single_claimed.compare_exchange_strong(
-            expected, mine, std::memory_order_acq_rel)) {
-      c->in_single = true;
-      return true;
-    }
-    return false;
+    return omp::detail::single_try(*c->team, *c);
   }
 
   void single_done() override { t_ctx->in_single = false; }

@@ -329,11 +329,14 @@ class Condvar {
 // ------------------------------------------------------- CompletionLatch
 
 /// Counts outstanding work down to zero and wakes the waiters parked on
-/// it. Every transition — including the decrement — happens under one
-/// lock, so a deleter that observes zero through try_wait()/wait() is
-/// serialized after the final count_down()'s unlock, and the decrementer
-/// touches only its detached wake chain afterwards: freeing the latch's
-/// owner right after the wait returns is safe.
+/// it. add() and a count_down() that leaves the count above zero are one
+/// atomic RMW each (GLTO counts every task in and out of its creator's
+/// latch); the transition to zero happens only under the lock, and zero
+/// is only ever observed under it. So a deleter that observes zero
+/// through try_wait()/wait() is serialized after the final count_down()'s
+/// unlock, and the decrementer touches only its detached wake chain
+/// afterwards: freeing the latch's owner right after the wait returns is
+/// safe.
 class CompletionLatch {
  public:
   CompletionLatch() = default;
@@ -360,7 +363,7 @@ class CompletionLatch {
       GLTO_NO_THREAD_SAFETY_ANALYSIS;
 
   mutable common::SpinLock lock_;
-  std::int64_t count_ GLTO_GUARDED_BY(lock_) = 0;
+  std::atomic<std::int64_t> count_{0};  ///< reaches zero only under lock_
   WaitList waiters_ GLTO_GUARDED_BY(lock_);
 };
 

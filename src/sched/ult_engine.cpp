@@ -557,17 +557,18 @@ void submit_bulk(Record* const* rs, int n, BulkHint hint) {
   g->core.submit_bulk(tls.rank, rs, static_cast<std::size_t>(n), hint);
 }
 
-Record* spawn(WorkFn fn, void* arg, Unit unit) {
+Record* spawn(WorkFn fn, void* arg, Unit unit, bool detached) {
   Record* parent = tls.current;
   GLTO_CHECK_MSG(parent != nullptr, "work-first spawn outside a ULT");
   GLTO_CHECK(unit != Unit::tasklet);  // the child gets a stack right here
   Record* child = alloc(fn, arg, /*home_rank=*/0, /*pinned=*/false, unit);
+  child->auto_free = detached;
   bind_stack(child);  // dispatched right here
   SwitchMsg msg{Dir::Spawn, parent, child};
   const fctx::transfer_t t =
       fctx::jump_fcontext_to(child->ctx, &msg, child->stack_region);
   land(parent, t);
-  return child;
+  return detached ? nullptr : child;
 }
 
 void join(Record* r) {

@@ -16,12 +16,14 @@
 // its own StackPool cache (bind at first dispatch), and the receiving side
 // of the unit's Done switch releases the stack into *its* cache. Then a
 // joinable unit publishes `done` and resumes its joiner, whose join()
-// recycles the record; an auto-free unit is recycled at once. Auto-free
-// and a custom body are properties of the record, set by its creator after
-// alloc(): only native qth::fork* records have them (they run a QthFn and
-// are joined through their FEB return word). Every unit GLT creates, on
-// any backend, is joinable and runs fn(arg). Only started, unfinished
-// units hold a stack.
+// recycles the record; an auto-free (detached) unit is recycled at once,
+// and nobody may touch its record after it is handed over. Auto-free and
+// a custom body are properties of the record, set by its creator before
+// the record is submitted: native qth::fork* records have both (they run
+// a QthFn and are joined through their FEB return word); GLT's detached
+// units (glt::ult_create_detached, a bulk create without handles, and
+// spawn(..., detached)) are auto-free and run fn(arg). Only started,
+// unfinished units hold a stack.
 //
 // Park protocol. Every blocking wait — a join, a qth FEB op, a sched::
 // sync primitive, a timed wait or a backoff — suspends through
@@ -107,7 +109,8 @@ struct alignas(common::kCacheLine) Record {
   bool is_main = false;    ///< the primary context (the thread that ran init)
   bool stackless = false;  ///< abt tasklet: runs on the scheduler's stack
   /// Recycled as soon as it finishes instead of publishing `done` for a
-  /// join() that recycles it (native qth forks, joined through `aux`).
+  /// join() that recycles it (native qth forks, joined through `aux`, and
+  /// GLT's detached units, which nobody joins).
   bool auto_free = false;
   void* user_local = nullptr;  ///< see self_local()
   /// Runs the unit instead of fn(arg) (native qth forks: a QthFn whose
@@ -171,8 +174,11 @@ Record* create(WorkFn fn, void* arg, int home_rank, bool pinned,
 void submit_bulk(Record* const* rs, int n, BulkHint hint);
 /// Work-first spawn from inside a unit: allocates fn(arg), binds it and
 /// switches to it now; the caller's continuation is published (stealable)
-/// when the child starts. Returns the child once the caller resumes.
-Record* spawn(WorkFn fn, void* arg, Unit unit = Unit::ult);
+/// when the child starts. Returns the child once the caller resumes. A
+/// @p detached child is auto-free: it may have finished and been recycled
+/// by then, so the caller gets nullptr instead.
+Record* spawn(WorkFn fn, void* arg, Unit unit = Unit::ult,
+              bool detached = false);
 /// Waits until joinable @p r is done (parks a unit, spins a foreign
 /// thread), then recycles it.
 void join(Record* r);

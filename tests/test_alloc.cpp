@@ -1,5 +1,5 @@
-// Zero-allocation steady state of the GLT create/join paths and the qth
-// FEB table.
+// Zero-allocation steady state of the GLT create/join paths, detached
+// creation, GLTO task waves and the qth FEB table.
 //
 // The global operator new/delete are replaced with counting versions. Each
 // case runs a warm-up round (freelists, stack caches and queues fill) and
@@ -19,6 +19,7 @@
 #include <string>
 
 #include "glt/glt.hpp"
+#include "omp/omp.hpp"
 #include "qth/qth.hpp"
 #include "sched/chaos.hpp"
 
@@ -88,6 +89,7 @@ namespace {
 
 namespace gg = glto::glt;
 namespace gq = glto::qth;
+namespace o = glto::omp;
 
 constexpr int kWarmRounds = 3;
 constexpr int kRounds = 20;
@@ -193,6 +195,84 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{gg::Impl::qth, 4}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       return name_of(info.param);
+    });
+
+void count_down(void* p) { static_cast<gg::latch*>(p)->count_down(); }
+
+/// One-worker shapes only. (At more workers a detached record is recycled
+/// on whichever worker ran it, so the creating worker keeps refilling its
+/// list from the heap — the same hoarding as native qth fork waves.)
+class AllocGltOneWorker : public AllocGlt {};
+
+TEST_P(AllocGltOneWorker, DetachedWaveAllocatesNothing) {
+  constexpr int kWave = 64;
+  void* args[kWave];
+  gg::latch done;
+  for (auto*& a : args) a = &done;
+  const std::uint64_t n = steady_allocs([&] {
+    done.add(2 * kWave);
+    for (int i = 0; i < kWave; ++i) {
+      gg::ult_create_detached(-1, count_down, &done);
+    }
+    gg::ult_create_bulk(count_down, args, kWave, /*out=*/nullptr,
+                        /*spread=*/false);
+    done.wait();
+  });
+  EXPECT_EQ(n, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, AllocGltOneWorker,
+    ::testing::Values(Shape{gg::Impl::abt, 1}, Shape{gg::Impl::qth, 1},
+                      Shape{gg::Impl::mth, 1}),
+    [](const ::testing::TestParamInfo<Shape>& info) {
+      return name_of(info.param);
+    });
+
+/// GLTO task waves at one GLT_thread: task records, descriptors and the
+/// detached task ULTs all recycle, and taskwait is a latch park.
+class AllocGltoTasks : public ::testing::TestWithParam<o::RuntimeKind> {
+ protected:
+  void SetUp() override {
+    std::string why;
+    if (skip_reason(&why)) GTEST_SKIP() << why;
+    o::SelectOptions opts;
+    opts.num_threads = 1;
+    opts.bind_threads = false;
+    o::select(GetParam(), opts);
+    selected_ = true;
+  }
+  void TearDown() override {
+    if (selected_) o::shutdown();
+  }
+  bool selected_ = false;
+};
+
+TEST_P(AllocGltoTasks, TaskWaveAndTaskwaitAllocateNothing) {
+  std::atomic<int> count{0};
+  std::uint64_t n = ~0ull;
+  o::parallel([&](int, int) {  // one long-lived region around every round
+    n = steady_allocs([&] {
+      for (int i = 0; i < 64; ++i) {
+        o::task([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+      }
+      o::taskwait();
+    });
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(count.load(), 64 * (kWarmRounds + kRounds));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GltoRuntimes, AllocGltoTasks,
+    ::testing::Values(o::RuntimeKind::glto_abt, o::RuntimeKind::glto_qth,
+                      o::RuntimeKind::glto_mth),
+    [](const ::testing::TestParamInfo<o::RuntimeKind>& info) {
+      std::string n = o::kind_name(info.param);
+      for (auto& ch : n) {
+        if (ch == '-') ch = '_';
+      }
+      return n;
     });
 
 /// Native qth at one shepherd. (Auto-freed fork waves at more shepherds

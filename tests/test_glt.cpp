@@ -127,6 +127,37 @@ TEST_P(GltBackend, UltIsDoneTracksCompletion) {
   EXPECT_EQ(count.load(), kN);
 }
 
+void count_down(void* p) { static_cast<gg::latch*>(p)->count_down(); }
+
+TEST_P(GltBackend, DetachedUltsCountDownALatch) {
+  // Detached units have no handle: each counts down a latch the creator
+  // waits on. They still count as created ULTs, and each gives its stack
+  // back when it finishes. Singles both placements, then bulk waves with
+  // both hints, one larger than the internal staging wave.
+  constexpr int kSingles = 256;
+  constexpr int kBulk = 300;
+  const auto& pool = glto::fctx::StackPool::global();
+  const std::uint64_t m0 = pool.total_mapped();
+  const std::uint64_t c0 = gg::stats().ults_created;
+  gg::latch done;
+  done.add(kSingles + 2 * kBulk);
+  for (int i = 0; i < kSingles; ++i) {
+    gg::ult_create_detached(i % 2 == 0 ? -1 : i % gg::num_threads(),
+                            count_down, &done);
+  }
+  std::vector<void*> args(kBulk, &done);
+  for (const bool spread : {false, true}) {
+    gg::ult_create_bulk(count_down, args.data(), kBulk, /*out=*/nullptr,
+                        spread);
+  }
+  done.wait();
+  EXPECT_EQ(gg::stats().ults_created - c0,
+            static_cast<std::uint64_t>(kSingles + 2 * kBulk));
+  // At most each GLT_thread's first stack and the primary scheduler's.
+  EXPECT_LE(pool.total_mapped(),
+            m0 + static_cast<std::uint64_t>(gg::num_threads()) + 1);
+}
+
 TEST_P(GltBackend, UltCreateToAllThreads) {
   std::atomic<int> count{0};
   std::vector<gg::Ult*> us;
@@ -316,6 +347,33 @@ TEST_P(GltStackResidency, QueuedUltsHoldNoStack) {
   // At most one stack for the running ULT plus the primary scheduler's
   // (created lazily at main's first suspension).
   EXPECT_LE(pool.total_mapped(), m0 + 2);
+}
+
+TEST_P(GltStackResidency, DetachedUltsReturnTheirStacks) {
+  // A detached wave holds no stack while queued, and once it has drained
+  // the next wave maps nothing: finished detached units return their
+  // stacks (and records) without a join.
+  const auto& pool = glto::fctx::StackPool::global();
+  const std::uint64_t m0 = pool.total_mapped();
+  const int k = static_cast<int>(m0) + 1024;
+  gg::latch done;
+  done.add(k);
+  std::vector<void*> args(static_cast<std::size_t>(k), &done);
+  gg::ult_create_bulk(count_down, args.data(), k, /*out=*/nullptr,
+                      /*spread=*/false);
+  EXPECT_EQ(pool.total_mapped(), m0)
+      << "queued detached ULTs must not hold stacks";
+  done.wait();
+  const std::uint64_t m1 = pool.total_mapped();
+  EXPECT_LE(m1, m0 + 2);
+  gg::latch again;
+  again.add(256);
+  for (int i = 0; i < 256; ++i) {
+    gg::ult_create_detached(-1, count_down, &again);
+  }
+  again.wait();
+  EXPECT_EQ(pool.total_mapped(), m1)
+      << "detached ULTs must give their stacks back when they finish";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, GltStackResidency,

@@ -15,6 +15,7 @@
 #include "omp/kmp_abi.hpp"
 #include "omp/omp.hpp"
 #include "sched/chaos.hpp"
+#include "sched/sync.hpp"
 #include "sched/watchdog.hpp"
 
 namespace o = glto::omp;
@@ -143,6 +144,49 @@ TEST_P(Hardening, TaskwaitForTimesOutAndLaterJoins) {
 
 TEST_P(Hardening, TaskwaitForWithNoChildrenReturnsImmediately) {
   producer([&] { EXPECT_TRUE(o::taskwait_for(milliseconds(0))); });
+}
+
+// GLTO's timed taskwait is the child latch's park with a deadline: each
+// call registers one timed wait, and a timeout is counted only when the
+// deadline wins. (A wait that polls children and sleeps through listless
+// backoff parks registers neither.)
+class GltoTimedWait : public Hardening {};
+
+TEST_P(GltoTimedWait, TimedTaskwaitParksOnce) {
+  GLTO_SKIP_GATED_UNDER_CHAOS();
+  namespace s = glto::sched;
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  producer([&] {
+    o::task([&] {
+      started.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) o::taskyield();
+    });
+    ASSERT_TRUE(await_flag(started));
+    const std::uint64_t w0 = s::timed_waits();
+    const std::uint64_t t0 = s::timed_wait_timeouts();
+    EXPECT_FALSE(o::taskwait_for(milliseconds(30)));
+    EXPECT_EQ(s::timed_waits() - w0, 1u);
+    EXPECT_EQ(s::timed_wait_timeouts() - t0, 1u);
+
+    // A second child releases the first once the waiter's registration
+    // shows in the counter, i.e. while the waiter is parked (or after a
+    // bounded wait, so a wait that never registers fails, not hangs).
+    const std::uint64_t w1 = s::timed_waits();
+    const std::uint64_t t1 = s::timed_wait_timeouts();
+    o::task([&release, w1] {
+      const auto give_up =
+          std::chrono::steady_clock::now() + milliseconds(2000);
+      while (s::timed_waits() == w1 &&
+             std::chrono::steady_clock::now() < give_up) {
+        o::taskyield();
+      }
+      release.store(true, std::memory_order_release);
+    });
+    EXPECT_TRUE(o::taskwait_for(milliseconds(10000)));
+    EXPECT_EQ(s::timed_waits() - w1, 1u);
+    EXPECT_EQ(s::timed_wait_timeouts() - t1, 0u);
+  });
 }
 
 // ---- cancellation --------------------------------------------------------
@@ -285,6 +329,18 @@ INSTANTIATE_TEST_SUITE_P(
     AllRuntimes, Hardening,
     ::testing::Values(o::RuntimeKind::gnu, o::RuntimeKind::intel,
                       o::RuntimeKind::glto_abt, o::RuntimeKind::glto_qth,
+                      o::RuntimeKind::glto_mth),
+    [](const ::testing::TestParamInfo<o::RuntimeKind>& info) {
+      std::string n = o::kind_name(info.param);
+      for (auto& ch : n) {
+        if (ch == '-') ch = '_';
+      }
+      return n;
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    GltoRuntimes, GltoTimedWait,
+    ::testing::Values(o::RuntimeKind::glto_abt, o::RuntimeKind::glto_qth,
                       o::RuntimeKind::glto_mth),
     [](const ::testing::TestParamInfo<o::RuntimeKind>& info) {
       std::string n = o::kind_name(info.param);

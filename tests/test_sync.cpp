@@ -403,6 +403,33 @@ TEST_P(SyncBackend, CompletionLatchCountsToZero) {
   for (auto* u : us) gg::ult_join(u);
 }
 
+TEST_P(SyncBackend, LatchOwnerFreesItRightAfterTheWait) {
+  // A count_down that leaves the count above zero is one atomic RMW; the
+  // one that reaches zero does so under the lock, and its unlock is its
+  // last access to the latch. So the owner may free the latch the moment
+  // a wait (or try_wait) sees zero, as GLTO does with the child latch in
+  // a finishing task's frame. Detached units on every worker race the
+  // free; ASan (scripts/san_ctest.sh asan) reports any late access.
+  constexpr int kRounds = 3000;
+  constexpr int kUnits = 8;
+  for (int r = 0; r < kRounds; ++r) {
+    auto* l = new gg::latch;
+    l->add(kUnits);
+    for (int i = 0; i < kUnits; ++i) {
+      gg::ult_create_detached(
+          i % gg::num_threads(),
+          [](void* p) { static_cast<gg::latch*>(p)->count_down(); }, l);
+    }
+    if (r % 2 == 0) {
+      l->wait();
+    } else {
+      while (!l->try_wait()) gg::yield();
+    }
+    EXPECT_EQ(l->pending(), 0);
+    delete l;
+  }
+}
+
 TEST_P(SyncBackend, BarrierSerialReturnOncePerRound) {
   // arrive_and_wait returns true for exactly one party per round (the
   // "serial member"), and no party can enter round r+1 before every party
