@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "common/affinity.hpp"
 #include "common/debug.hpp"
@@ -13,8 +12,8 @@
 #include "common/time.hpp"
 #include "omp/task_support.hpp"
 #include "sched/chaos.hpp"
-#include "sched/freelist.hpp"
 #include "sched/metrics.hpp"
+#include "sched/pool.hpp"
 #include "sched/sync.hpp"
 #include "sched/trace.hpp"
 #include "taskdep/taskdep.hpp"
@@ -90,8 +89,9 @@ struct TaskCtx : omp::detail::MemberShare {
   return reinterpret_cast<std::uintptr_t>(c);
 }
 
-/// Argument block for team-member ULT thunks. RegionBody is non-owning:
-/// the forking caller's frame outlives the member (Team::members).
+/// Argument block for team-member ULT thunks, from sched::Pool: the member
+/// frees it before its count_down. RegionBody is non-owning: the forking
+/// caller's frame outlives the member (Team::members).
 struct MemberArg {
   Team* team;
   int tid;
@@ -102,7 +102,7 @@ class GltoRuntime;
 
 /// Per-task record carrying the v2 descriptor through deferral and the
 /// dependency engine (DepPayload rides the descriptor). Recycled through
-/// a process-wide freelist — after warm-up, spawning a task with a small
+/// sched::Pool — after warm-up, spawning a task with a small
 /// trivially-copyable capture touches no allocator at all.
 struct TaskArg : DepPayload {
   TaskArg() : DepPayload{Kind::spawn} {}
@@ -114,29 +114,6 @@ struct TaskArg : DepPayload {
   taskdep::TaskNode* node = nullptr;    ///< non-null for depend tasks
   std::uint64_t submit_ns = 0;          ///< latency profiling stamp (0 = off)
 };
-
-/// TaskArg recycling: per-OS-thread lists keyed by detail::record_rank()
-/// (unique across runtime instances), locked shared slab beyond that.
-sched::Freelist<TaskArg>& arg_pool() {
-  static sched::Freelist<TaskArg> pool(omp::detail::kRecordPoolWorkers);
-  return pool;
-}
-
-TaskArg* alloc_task_arg() {
-  if (TaskArg* a = arg_pool().try_alloc(omp::detail::record_rank())) return a;
-  return new TaskArg();
-}
-
-void free_task_arg(TaskArg* a) {
-  a->team = nullptr;
-  a->desc = omp::TaskDesc();  // already consumed by run(); stay empty
-  a->rt = nullptr;
-  a->parent = nullptr;
-  a->group = nullptr;
-  a->node = nullptr;
-  a->submit_ns = 0;
-  arg_pool().recycle(omp::detail::record_rank(), a);
-}
 
 class GltoRuntime final : public omp::Runtime {
  public:
@@ -196,13 +173,12 @@ class GltoRuntime final : public omp::Runtime {
     // no bulk deposit — the batch path is for task bursts, where one
     // victim receives many units.
     const bool outer = new_level == 1;
-    std::vector<MemberArg> args(static_cast<std::size_t>(nth));
     if (nth > 1) team.members.add(nth - 1);
     const int glt_n = glt::num_threads();
     for (int i = 1; i < nth; ++i) {
-      args[static_cast<std::size_t>(i)] = MemberArg{&team, i, body};
       glt::ult_create_detached(outer ? i % glt_n : -1, member_thunk,
-                               &args[static_cast<std::size_t>(i)]);
+                               sched::Pool<MemberArg>::alloc(
+                                   MemberArg{&team, i, body}));
     }
 
     // Master executes member 0 inline, then waits for the rest (implicit
@@ -467,14 +443,15 @@ class GltoRuntime final : public omp::Runtime {
     ctx.tid = a->tid;
     glt::set_self_local(&ctx);
     a->body(a->tid, a->team->size);
+    sched::Pool<MemberArg>::free(a);
     ctx.children.wait();
-    a->team->members.count_down();  // last access to the master's frame
+    ctx.team->members.count_down();  // last access to the master's frame
   }
 
   /// A task record for a child of @p c, already counted in c->children
   /// (and in its taskgroup, if any).
   TaskArg* new_task_arg(TaskCtx* c, omp::TaskDesc&& desc) {
-    TaskArg* arg = alloc_task_arg();
+    TaskArg* arg = sched::Pool<TaskArg>::alloc();
     arg->team = c->team;
     arg->desc = std::move(desc);
     arg->rt = this;
@@ -521,7 +498,7 @@ class GltoRuntime final : public omp::Runtime {
     ctx.children.wait();
     if (a->group != nullptr) a->group->latch.count_down();
     TaskCtx* parent = a->parent;
-    free_task_arg(a);
+    sched::Pool<TaskArg>::free(a);
     parent->children.count_down();  // last access to the creator
   }
 

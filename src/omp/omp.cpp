@@ -6,11 +6,11 @@
 #include "common/cacheline.hpp"
 #include "common/debug.hpp"
 #include "common/env.hpp"
+#include "common/shard.hpp"
 #include "glto/glto_runtime.hpp"
 #include "omp/task_support.hpp"
 #include "pomp/pomp_runtime.hpp"
 #include "sched/chaos.hpp"
-#include "sched/freelist.hpp"
 #include "sched/metrics.hpp"
 #include "sched/trace.hpp"
 #include "sched/watchdog.hpp"
@@ -26,92 +26,34 @@ void parse_omp_schedule();
 
 }  // namespace
 
-// ---- descriptor spill pool + placement counters ---------------------------
+// ---- descriptor placement counters -----------------------------------------
 
 namespace detail {
 
 namespace {
 
-struct SpillSlab {
-  alignas(std::max_align_t) unsigned char bytes[kSpillSlabBytes];
-};
-
-/// Descriptor-placement counters, one cache-line-padded slot per record
-/// rank: a single process-wide atomic would put a contended RMW on the
-/// very task-spawn path this ABI makes allocation-free. Threads beyond
-/// kRecordPoolWorkers share slots (still correct, relaxed adds); sums
-/// are taken in task_inline_count()/task_alloc_count().
+/// Descriptor-placement counters, sharded per OS thread: a process-wide
+/// atomic would put a contended RMW on the very task-spawn path this ABI
+/// makes allocation-free.
 struct alignas(common::kCacheLine) PlacementSlot {
   std::atomic<std::uint64_t> inline_count{0};
   std::atomic<std::uint64_t> alloc_count{0};
 };
 
-PlacementSlot g_placement[kRecordPoolWorkers];
-
-PlacementSlot& placement_slot() {
-  return g_placement[static_cast<unsigned>(record_rank()) %
-                     kRecordPoolWorkers];
-}
-
-/// Slab freelist shared by every runtime instance: per-OS-thread lists
-/// keyed by detail::record_rank(), locked shared slab beyond that. Spills
-/// recycle to the *freeing* thread's list, so producer/consumer pairs
-/// keep slabs circulating without malloc after warm-up.
-sched::Freelist<SpillSlab>& spill_pool() {
-  static sched::Freelist<SpillSlab> pool(kRecordPoolWorkers);
-  return pool;
-}
+common::Sharded<PlacementSlot> g_placement;
 
 }  // namespace
 
-// See the task_support.hpp declaration: noinline + asm barrier force the
-// thread_local lookup to happen at call time on the *current* OS thread,
-// never cached from before a ULT suspension (the ULT engine's tls_now idiom).
-__attribute__((noinline)) int record_rank() {
-  asm volatile("");
-  static std::atomic<int> next{0};
-  thread_local const int rank = next.fetch_add(1, std::memory_order_relaxed);
-  return rank;
-}
+void note_task_inline() { g_placement.bump(&PlacementSlot::inline_count); }
 
-void* spill_alloc(std::size_t bytes) {
-  if (bytes <= kSpillSlabBytes) {
-    if (SpillSlab* s = spill_pool().try_alloc(record_rank())) return s;
-    return new SpillSlab();
-  }
-  return ::operator new(bytes);
-}
-
-void spill_free(void* p, std::size_t bytes) {
-  if (bytes <= kSpillSlabBytes) {
-    spill_pool().recycle(record_rank(), static_cast<SpillSlab*>(p));
-    return;
-  }
-  ::operator delete(p);
-}
-
-void note_task_inline() {
-  placement_slot().inline_count.fetch_add(1, std::memory_order_relaxed);
-}
-
-void note_task_alloc() {
-  placement_slot().alloc_count.fetch_add(1, std::memory_order_relaxed);
-}
+void note_task_alloc() { g_placement.bump(&PlacementSlot::alloc_count); }
 
 std::uint64_t task_inline_count() {
-  std::uint64_t sum = 0;
-  for (const PlacementSlot& s : g_placement) {
-    sum += s.inline_count.load(std::memory_order_relaxed);
-  }
-  return sum;
+  return g_placement.sum(&PlacementSlot::inline_count);
 }
 
 std::uint64_t task_alloc_count() {
-  std::uint64_t sum = 0;
-  for (const PlacementSlot& s : g_placement) {
-    sum += s.alloc_count.load(std::memory_order_relaxed);
-  }
-  return sum;
+  return g_placement.sum(&PlacementSlot::alloc_count);
 }
 
 }  // namespace detail

@@ -10,8 +10,9 @@
 // the whole descriptor moves by memcpy — task creation performs **zero
 // heap allocations**. Captures that don't fit (or aren't trivially
 // copyable, e.g. a std::function passed to omp::task)
-// spill to a fixed-size slab recycled through a sched::Freelist; only
-// captures larger than a slab fall back to operator new.
+// spill to a fixed-size slab recycled through sched::Pool (returned to the
+// thread that carved it, wherever the task ran); only captures larger than
+// a slab fall back to operator new.
 //
 // omp::task_stats() reports the split as task_inline / task_alloc — the
 // inline-payload rate the dispatch ablation (abl_glt_dispatch) prints.
@@ -24,18 +25,19 @@
 #include <type_traits>
 #include <utility>
 
+#include "sched/pool.hpp"
+
 namespace glto::omp {
 
 namespace detail {
 
-/// Spill-slab geometry: one fixed block size keeps the freelist simple and
+/// A spilled capture's block: one fixed size keeps the pool simple and
 /// covers every realistic capture (a boxed std::function is 32 bytes).
-inline constexpr std::size_t kSpillSlabBytes = 256;
+struct SpillSlab {
+  alignas(std::max_align_t) unsigned char bytes[256];
+};
 
-// Defined in omp.cpp (the pool is a sched::Freelist<SpillSlab> shared by
-// every runtime; payloads recycle to the freeing thread's list).
-[[nodiscard]] void* spill_alloc(std::size_t bytes);
-void spill_free(void* p, std::size_t bytes);
+// Defined in omp.cpp.
 void note_task_inline();
 void note_task_alloc();
 [[nodiscard]] std::uint64_t task_inline_count();
@@ -116,12 +118,23 @@ class TaskDesc {
       ::new (static_cast<void*>(d.buf_)) C(std::forward<C0>(c));
       detail::note_task_inline();
     } else {
-      void* block = detail::spill_alloc(sizeof(C));
+      using Pool = sched::Pool<detail::SpillSlab>;
+      constexpr bool kSlab = sizeof(C) <= sizeof(detail::SpillSlab);
+      void* block = nullptr;
+      if constexpr (kSlab) {
+        block = Pool::alloc()->bytes;
+      } else {
+        block = ::operator new(sizeof(C));
+      }
       ::new (block) C(std::forward<C0>(c));
       d.spill_ = block;
       d.destroy_ = [](void* p) {
         static_cast<C*>(p)->~C();
-        detail::spill_free(p, sizeof(C));
+        if constexpr (kSlab) {
+          Pool::free(static_cast<detail::SpillSlab*>(p));
+        } else {
+          ::operator delete(p);
+        }
       };
       detail::note_task_alloc();
     }

@@ -198,26 +198,4 @@ struct ReadyGate : DepPayload {
   sched::Event ready;
 };
 
-/// Per-worker capacity of the task-record freelists (TaskArg/TaskRec
-/// recycling in the runtimes and the descriptor spill-slab pool). OS
-/// threads beyond this many distinct ranks fall back to the freelists'
-/// locked shared slab — correct, just not lock-free.
-inline constexpr int kRecordPoolWorkers = 64;
-
-/// Process-wide small integer rank of the calling OS thread, handed out
-/// on first use. Indexes the owner-only per-worker lists of the record
-/// freelists: unlike a team-relative tid it is unique across concurrent
-/// teams and runtime instances, so two threads never share a lock-free
-/// list. Monotonic — a process that churns through more than
-/// kRecordPoolWorkers OS threads pushes later threads onto the locked
-/// slab path.
-///
-/// Defined out-of-line (omp.cpp) behind a noinline + compiler barrier:
-/// the free paths call it AFTER a task body ran — i.e. after a possible
-/// ULT suspension and OS-thread migration — where an inlined, cached
-/// thread_local read from before the context switch would hand back the
-/// pre-migration thread's rank and let two OS threads mutate one
-/// owner-only freelist (the stale-TLS hazard sched/ult_engine.hpp documents).
-[[nodiscard]] int record_rank();
-
 }  // namespace glto::omp::detail

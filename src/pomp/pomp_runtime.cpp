@@ -20,9 +20,9 @@
 #include "common/spin.hpp"
 #include "omp/task_support.hpp"
 #include "sched/chaos.hpp"
-#include "sched/freelist.hpp"
 #include "sched/locked_queue.hpp"
 #include "sched/metrics.hpp"
+#include "sched/pool.hpp"
 #include "sched/trace.hpp"
 #include "sched/watchdog.hpp"
 #include "taskdep/taskdep.hpp"
@@ -60,7 +60,7 @@ struct WatchdogWaitScope {
 
 /// A deferred explicit task: the v2 descriptor rides through the queues
 /// and the dependency engine (DepPayload header). Records recycle through
-/// a process-wide freelist keyed by detail::record_rank().
+/// sched::Pool.
 struct TaskRec : DepPayload {
   TaskRec() : DepPayload{Kind::spawn} {}
   omp::TaskDesc desc;
@@ -72,28 +72,6 @@ struct TaskRec : DepPayload {
   taskdep::TaskNode* node = nullptr;  ///< non-null for depend tasks
   std::uint64_t submit_ns = 0;        ///< latency profiling stamp (0 = off)
 };
-
-sched::Freelist<TaskRec>& rec_pool() {
-  static sched::Freelist<TaskRec> pool(omp::detail::kRecordPoolWorkers);
-  return pool;
-}
-
-TaskRec* alloc_task_rec() {
-  if (TaskRec* r = rec_pool().try_alloc(omp::detail::record_rank())) return r;
-  return new TaskRec();
-}
-
-void free_task_rec(TaskRec* r) {
-  r->desc = omp::TaskDesc();  // consumed by run(); keep the slot empty
-  r->creator = nullptr;
-  r->team = nullptr;
-  r->untied = false;
-  r->final = false;
-  r->group = nullptr;
-  r->node = nullptr;
-  r->submit_ns = 0;
-  rec_pool().recycle(omp::detail::record_rank(), r);
-}
 
 struct PompTeam : omp::detail::TeamShare {
   int size = 1;
@@ -352,7 +330,7 @@ class PompRuntime : public omp::Runtime {
       run_inline(c, std::move(desc));
       return;
     }
-    TaskRec* rec = alloc_task_rec();
+    TaskRec* rec = sched::Pool<TaskRec>::alloc();
     rec->desc = std::move(desc);
     rec->creator = c;
     rec->team = c->team;
@@ -406,7 +384,7 @@ class PompRuntime : public omp::Runtime {
     while (done < n) {
       const std::size_t take = std::min<std::size_t>(kWave, n - done);
       for (std::size_t i = 0; i < take; ++i) {
-        TaskRec* rec = alloc_task_rec();
+        TaskRec* rec = sched::Pool<TaskRec>::alloc();
         rec->desc = std::move(descs[done + i]);
         rec->creator = c;
         rec->team = c->team;
@@ -605,7 +583,7 @@ class PompRuntime : public omp::Runtime {
     rec->creator->children_outstanding.fetch_sub(1,
                                                  std::memory_order_release);
     rec->team->tasks_outstanding.fetch_sub(1, std::memory_order_release);
-    free_task_rec(rec);
+    sched::Pool<TaskRec>::free(rec);
   }
 
   /// Dependency wake-up target: enqueue a released task through the

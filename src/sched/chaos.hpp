@@ -1,8 +1,8 @@
 // Fault-injection chaos harness shared by the runtime tree.
 //
 // Probabilistically fails ULT creation (the caller degrades to inline
-// execution), fails freelist slab allocation (exercising the heap spill
-// paths), and injects short delays at suspension points (widening race
+// execution), makes object-pool allocations skip their recycled blocks
+// (exercising the carve path), and injects short delays at suspension points (widening race
 // windows that a clean scheduler ordering would never open). The plan is
 // resolved once from $GLTO_CHAOS ("spawn:p,alloc:p,delay:p[,seed:s]") by
 // sched::resolve_chaos; with the variable unset every hook is one relaxed
@@ -24,7 +24,8 @@ namespace glto::sched {
 /// Fault-injection plan of the chaos harness ($GLTO_CHAOS). Each
 /// probability is independent and evaluated per opportunity:
 ///   spawn:p — ULT creation fails, the task degrades to inline execution
-///   alloc:p — freelist slab allocation fails, exercising the spill paths
+///   alloc:p — a sched::Pool alloc skips the recycled blocks and carves a
+///             fresh one
 ///   delay:p — a short delay is injected at a suspension point to widen
 ///             race windows
 /// A fixed seed makes a chaos soak reproducible bit-for-bit modulo thread
@@ -81,7 +82,7 @@ inline bool chaos_spawn_fail() {
   return detail::chaos_roll_spawn();
 }
 
-/// True ⇒ the freelist must report slab exhaustion (caller heap-spills).
+/// True ⇒ the object pool must carve a fresh block instead of recycling.
 inline bool chaos_alloc_fail() {
   if (!detail::g_chaos_on.load(std::memory_order_relaxed)) return false;
   return detail::chaos_roll_alloc();

@@ -4,6 +4,7 @@
 
 #include "common/cacheline.hpp"
 #include "common/debug.hpp"
+#include "common/shard.hpp"
 #include "common/time.hpp"
 #include "sched/chaos.hpp"
 #include "sched/trace.hpp"
@@ -16,37 +17,14 @@ namespace {
 
 /// Wait-path event counters. Every suspension and every direct wake bumps
 /// one, GLTO's taskwait and region end included, so they are sharded per
-/// OS thread: an increment stays in the incrementing core's cache and a
-/// read sums the shards. (One process-wide atomic per counter, bumped by
-/// every worker, cost nested-for ~10% p50.)
+/// OS thread (common/shard.hpp).
 struct alignas(common::kCacheLine) WaitCounters {
   std::atomic<std::uint64_t> suspensions{0};
   std::atomic<std::uint64_t> wakes_direct{0};
   std::atomic<std::uint64_t> timed_waits{0};
   std::atomic<std::uint64_t> timed_wait_timeouts{0};
 };
-using Counter = std::atomic<std::uint64_t> WaitCounters::*;
-constexpr std::size_t kCounterShards = 64;
-WaitCounters g_counters[kCounterShards];
-std::atomic<std::size_t> g_next_shard{0};
-
-/// Counts one event in the calling OS thread's shard. A unit that migrated
-/// may still bump the shard of a thread it ran on before: the count stays
-/// exact, the shard is merely shared.
-void bump(Counter c) {
-  thread_local WaitCounters* shard =
-      &g_counters[g_next_shard.fetch_add(1, std::memory_order_relaxed) %
-                  kCounterShards];
-  (shard->*c).fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t total(Counter c) {
-  std::uint64_t n = 0;
-  for (const WaitCounters& s : g_counters) {
-    n += (s.*c).load(std::memory_order_relaxed);
-  }
-  return n;
-}
+common::Sharded<WaitCounters> g_counters;
 
 /// The parker for contexts that cannot suspend. Thread-local: it dies when
 /// its thread exits, which may be right after the wait returns, so the
@@ -84,8 +62,8 @@ bool enqueue(sync_detail::ParkOp& op) {
   const bool parked = op.try_enqueue(&op);
   op.lock->unlock();
   if (parked) {
-    bump(&WaitCounters::suspensions);
-    if (timed) bump(&WaitCounters::timed_waits);
+    g_counters.bump(&WaitCounters::suspensions);
+    if (timed) g_counters.bump(&WaitCounters::timed_waits);
   }
   return parked;
 }
@@ -134,11 +112,17 @@ void trace_unblock(const WaitNode* n) {
 
 }  // namespace
 
-std::uint64_t suspensions() { return total(&WaitCounters::suspensions); }
-std::uint64_t wakes_direct() { return total(&WaitCounters::wakes_direct); }
-std::uint64_t timed_waits() { return total(&WaitCounters::timed_waits); }
+std::uint64_t suspensions() {
+  return g_counters.sum(&WaitCounters::suspensions);
+}
+std::uint64_t wakes_direct() {
+  return g_counters.sum(&WaitCounters::wakes_direct);
+}
+std::uint64_t timed_waits() {
+  return g_counters.sum(&WaitCounters::timed_waits);
+}
 std::uint64_t timed_wait_timeouts() {
-  return total(&WaitCounters::timed_wait_timeouts);
+  return g_counters.sum(&WaitCounters::timed_wait_timeouts);
 }
 
 void backoff_until(std::int64_t deadline_ns) {
@@ -192,7 +176,7 @@ ParkResult park_current(ParkOp& op, std::int64_t deadline_ns) {
   }
   watchdog_exit_wait();
   if (listed && r == ParkResult::timeout) {
-    bump(&WaitCounters::timed_wait_timeouts);
+    g_counters.bump(&WaitCounters::timed_wait_timeouts);
     trace_unblock(n);
   }
   return r;
@@ -211,7 +195,7 @@ void wake_node(WaitNode* n) {
   } else {
     n->signaled.store(true, std::memory_order_release);
     ult::resume(handle);
-    bump(&WaitCounters::wakes_direct);
+    g_counters.bump(&WaitCounters::wakes_direct);
   }
   watchdog_note_progress();
 }

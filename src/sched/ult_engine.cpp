@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <new>
 #include <thread>
 #include <vector>
 
@@ -15,7 +14,7 @@
 #include "common/spin.hpp"
 #include "common/thread_safety.hpp"
 #include "common/time.hpp"
-#include "sched/freelist.hpp"
+#include "sched/pool.hpp"
 #include "sched/watchdog.hpp"
 
 namespace glto::sched::ult {
@@ -87,14 +86,13 @@ constexpr std::uint64_t kStealSeed = 0x9e3779b97f4a7c15ULL;
 struct Engine {
   Engine(const Personality& pers, int n_in, bool shared, bool bind_in)
       : p(&pers), n(n_in), bind(bind_in), core(WsCoreConfig{n_in, shared}),
-        free(n_in), timers(new TimerList[static_cast<std::size_t>(n_in)]) {}
+        timers(new TimerList[static_cast<std::size_t>(n_in)]) {}
   const Personality* p;
   const int n;
   const bool bind;
   /// The primary context travels through the core's main slot when it is
   /// pinned: only rank 0 pops it, so finalize always runs where init did.
   WsCore<Record*> core;
-  Freelist<Record> free;
   std::unique_ptr<TimerList[]> timers;  ///< one per worker
   std::vector<std::thread> workers;
   Record* main = nullptr;
@@ -147,19 +145,10 @@ void make_ready(Record* r, bool fifo, int rank) {
   }
 }
 
-/// Recycles a finished or joined record into worker @p rank's list.
-void recycle(Record* r, int rank) {
-  if (g == nullptr) {  // joined after finalize: nothing to recycle into
-    delete r;
-    return;
-  }
-  g->free.recycle(rank, r);
-}
-
 /// A unit finished on worker @p rank and its stack is released.
 void finish(Record* r, int rank) {
   if (r->auto_free) {
-    recycle(r, rank);
+    Pool<Record>::free(r);
     return;
   }
   // Claim the joiner slot BEFORE publishing done: once done is visible a
@@ -419,42 +408,7 @@ bool join_cb(void* target, Record* joiner) {
                                            std::memory_order_acq_rel);
 }
 
-// Record storage: blocks carved from aligned slabs. Freed blocks are kept
-// on a list for reuse; slabs are never returned (records themselves
-// recycle through the engine's freelist, so few blocks are ever freed).
-struct FreeBlock {
-  FreeBlock* next;
-};
-constexpr std::size_t kSlabRecords = 64;
-common::SpinLock g_block_lock;
-FreeBlock* g_free_blocks GLTO_GUARDED_BY(g_block_lock) = nullptr;
-char* g_slab GLTO_GUARDED_BY(g_block_lock) = nullptr;
-std::size_t g_slab_left GLTO_GUARDED_BY(g_block_lock) = 0;
-
 }  // namespace
-
-void* Record::operator new(std::size_t size) {
-  GLTO_CHECK(size == sizeof(Record));
-  common::SpinGuard guard(g_block_lock);
-  if (FreeBlock* b = g_free_blocks) {
-    g_free_blocks = b->next;
-    return b;
-  }
-  if (g_slab_left == 0) {
-    g_slab = static_cast<char*>(::operator new(
-        kSlabRecords * sizeof(Record), std::align_val_t{alignof(Record)}));
-    g_slab_left = kSlabRecords;
-  }
-  void* p = g_slab;
-  g_slab += sizeof(Record);
-  --g_slab_left;
-  return p;
-}
-
-void Record::operator delete(void* p) noexcept {
-  common::SpinGuard guard(g_block_lock);
-  g_free_blocks = new (p) FreeBlock{g_free_blocks};
-}
 
 void init(const Personality& p, int num_workers, bool shared_pool,
           bool bind_threads, bool pin_main) {
@@ -470,7 +424,7 @@ void init(const Personality& p, int num_workers, bool shared_pool,
   g = new Engine(p, n, shared_pool, bind_threads);
   g->watchdog_token = watchdog_register_dumper(dump_core_state, nullptr);
   g->stack_hits_at_init = fctx::StackPool::global().cache_hits();
-  g->main = new Record();
+  g->main = Pool<Record>::alloc();
   g->main->is_main = true;
   g->main->pinned = pin_main;
   g->main->stack_region = fctx::os_thread_stack();
@@ -498,9 +452,9 @@ void finalize() {
   for (auto& w : g->workers) w.join();
   fctx::StackPool::global().release(g->primary_stack);
   (void)set_timer_slack(g->init_thread_slack);
-  delete g->main;
+  Pool<Record>::free(g->main);
   tls_now() = Tls{};
-  delete g;  // the Freelist dtor frees every recycled record
+  delete g;
   g = nullptr;
 }
 
@@ -522,24 +476,12 @@ Record* alloc(WorkFn fn, void* arg, int home_rank, bool pinned, Unit unit) {
   if (home_rank < 0) home_rank = tls.rank >= 0 ? tls.rank : 0;
   (unit == Unit::ult ? g->created : g->tasklets)
       .fetch_add(1, std::memory_order_relaxed);
-  Record* r = g->free.try_alloc(tls.rank);
-  if (r == nullptr) r = new Record();
+  Record* r = Pool<Record>::alloc();
   r->fn = fn;
   r->arg = arg;
-  r->aux = nullptr;
-  r->ctx = nullptr;
-  r->stack = fctx::Stack{};
-  r->stack_region = fctx::StackRegion{};
-  r->done.store(false, std::memory_order_relaxed);
-  r->joiner.store(nullptr, std::memory_order_relaxed);
-  r->last_rank.store(-1, std::memory_order_relaxed);
   r->home_rank = home_rank;
   r->pinned = pinned;
-  r->is_main = false;
   r->stackless = unit == Unit::tasklet;
-  r->auto_free = false;
-  r->user_local = nullptr;
-  r->body = nullptr;
   return r;
 }
 
@@ -580,7 +522,7 @@ void join(Record* r) {
   } else {
     while (!is_done(r)) leave(Dir::Park, self, join_cb, r);
   }
-  recycle(r, tls_now().rank);  // the joiner may have changed threads
+  Pool<Record>::free(r);
 }
 
 void yield() {

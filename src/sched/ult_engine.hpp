@@ -9,15 +9,17 @@
 // the one park path every blocking wait suspends through. A personality
 // (Personality) is a name and a work-first flag over this API.
 //
-// Record lifecycle. alloc() takes a record from the per-worker freelist
-// (or the heap), resets every field and counts the creation; submit() /
+// Record lifecycle. alloc() builds a record in a sched::Pool block (every
+// field at its default) and counts the creation; submit() /
 // submit_bulk() hand it to the shared sched::WsCore. A queued record holds
 // no stack: the worker that first dispatches it binds a pooled stack from
 // its own StackPool cache (bind at first dispatch), and the receiving side
 // of the unit's Done switch releases the stack into *its* cache. Then a
 // joinable unit publishes `done` and resumes its joiner, whose join()
 // recycles the record; an auto-free (detached) unit is recycled at once,
-// and nobody may touch its record after it is handed over. Auto-free and
+// and nobody may touch its record after it is handed over. A recycled
+// record goes home to the thread whose slab it was carved from, wherever
+// the unit ran or was joined. Auto-free and
 // a custom body are properties of the record, set by its creator before
 // the record is submitted: native qth::fork* records have both (they run
 // a QthFn and are joined through their FEB return word); GLT's detached
@@ -89,9 +91,9 @@ using WorkFn = void (*)(void*);
 /// A record is written by the worker running the unit while joiners and
 /// wakers on other workers touch it, so each gets cache lines of its own:
 /// records packed back to back false-share (nested-for read +13% p50
-/// with unaligned records). Storage comes from aligned slabs, because a
-/// separate aligned heap allocation per record cost qpserver-open ~0.7 MB
-/// of peak RSS in allocator slack.
+/// with unaligned records). Storage comes from sched::Pool slabs, because
+/// a separate aligned heap allocation per record cost qpserver-open
+/// ~0.7 MB of peak RSS in allocator slack.
 struct alignas(common::kCacheLine) Record {
   WorkFn fn = nullptr;
   void* arg = nullptr;
@@ -116,9 +118,6 @@ struct alignas(common::kCacheLine) Record {
   /// Runs the unit instead of fn(arg) (native qth forks: a QthFn whose
   /// result fills the return word).
   void (*body)(Record*) = nullptr;
-
-  static void* operator new(std::size_t size);
-  static void operator delete(void* p) noexcept;
 };
 
 /// What sets one backend's engine apart. How a unit runs and whether it is

@@ -28,7 +28,7 @@
 // — no lost wakeups, and no O(team) futex broadcast per push. Every
 // deposit wakes at most one parked worker: the deposit's owner for
 // owner-only stores (fair/main), any parked thief for stealable deque
-// pushes. notify() and request_shutdown() broadcast to every worker.
+// pushes. request_shutdown() broadcasts to every worker.
 //
 // submit_bulk deposits a whole batch with one publication per victim and
 // one targeted wake per victim: `spread` fans contiguous chunks across
@@ -181,19 +181,6 @@ class WsCore {
       const int rank = caller_rank >= 0 ? caller_rank : home_rank;
       pool_for(rank).fair.push(item);
       wake_owner_store(caller_rank, rank);
-    }
-  }
-
-  /// Owner push onto @p rank's deque (or the shared pool). For callers
-  /// that manage their own placement policy (mth publishes continuations
-  /// and yields this way — everything it schedules is stealable).
-  void push_owner(int rank, T item) {
-    if (shared_) {
-      pools_[0]->fair.push(item);
-      wake_any(rank);
-    } else {
-      pool_for(rank).deque.push(item);
-      wake_thief(rank);
     }
   }
 
@@ -428,10 +415,6 @@ class WsCore {
   }
 
   // ------------------------------------------------------------- control
-
-  /// Broadcast "something changed" — wakes every parked worker (rare,
-  /// non-deposit events).
-  void notify() { broadcast_unpark(); }
 
   void request_shutdown() {
     shutdown_.store(true, std::memory_order_release);
@@ -668,7 +651,7 @@ class WsCore {
     return std::min(static_cast<std::size_t>(n_), n);
   }
 
-  /// Unconditional broadcast (shutdown/notify): permits reach even workers
+  /// Unconditional broadcast (shutdown): permits reach even workers
   /// currently between a mask clear and their next park.
   void broadcast_unpark() {
     for (int r = 0; r < n_; ++r) {

@@ -1,14 +1,18 @@
 // Zero-allocation steady state of the GLT create/join paths, detached
-// creation, GLTO task waves and the qth FEB table.
+// creation, GLTO task waves and regions, and the qth FEB table.
 //
 // The global operator new/delete are replaced with counting versions. Each
-// case runs a warm-up round (freelists, stack caches and queues fill) and
-// then asserts that the measured rounds call operator new zero times, from
-// any thread. Backend-parameterized: a GLT ULT or tasklet is an engine
-// record on abt, qth and mth alike, recycled through the engine freelist.
+// case runs warm-up rounds (pool slots adopted, stack caches and queues
+// filled) and then asserts that the measured rounds call operator new zero
+// times, from any thread. Backend-parameterized: a GLT ULT or tasklet is an
+// engine record on abt, qth and mth alike. Records, GLTO task records and
+// region-member arguments recycle through sched::Pool, which returns a
+// block freed on another worker to the thread that carved it: detached
+// units (abt, qth), native qth forks and tasks produced on one worker and
+// finished on others allocate nothing at 4 workers too.
 //
 // Skipped under ASan/TSan builds and under fault injection: chaos alloc
-// faults force the heap path on purpose.
+// faults make the pool carve fresh blocks on purpose.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -144,12 +148,16 @@ class AllocGlt : public ::testing::TestWithParam<Shape> {
     cfg.num_threads = GetParam().threads;
     cfg.bind_threads = false;
     gg::init(cfg);
-    // Every GLT_thread runs one unit first, so each holds a cached stack:
-    // a thread that first stole work in a measured round would map its
-    // first stack then, and growing the pool's bookkeeping is a one-off
-    // warm-up cost, not a per-ULT one.
+    // Every GLT_thread runs one unit that creates and joins another, so
+    // each holds a cached stack and has adopted its record-pool slot: a
+    // thread that first stole work (or, on mth, resumed the migrating
+    // main) in a measured round would map its first stack or carve its
+    // first slab then. Both are one-off warm-up costs, not per-ULT ones.
     for (int t = 0; t < gg::num_threads(); ++t) {
-      gg::ult_join(gg::ult_create_to(t, bump, &count_));
+      gg::ult_join(gg::ult_create_to(
+          t,
+          [](void* c) { gg::ult_join(gg::ult_create(bump, c)); },
+          &count_));
     }
     count_.store(0);
   }
@@ -199,12 +207,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 void count_down(void* p) { static_cast<gg::latch*>(p)->count_down(); }
 
-/// One-worker shapes only. (At more workers a detached record is recycled
-/// on whichever worker ran it, so the creating worker keeps refilling its
-/// list from the heap — the same hoarding as native qth fork waves.)
-class AllocGltOneWorker : public AllocGlt {};
+/// Detached units finish, and free their records, on whichever worker ran
+/// them; the records go home to the creating thread's pool slot. (mth at 4
+/// workers is left out: its work-first spawn binds a stack on one worker
+/// and releases it on another, so the stack pool keeps mapping stacks, and
+/// growing its bookkeeping, for hundreds of rounds — a StackPool flow, not
+/// a record one.)
+class AllocGltDetached : public AllocGlt {};
 
-TEST_P(AllocGltOneWorker, DetachedWaveAllocatesNothing) {
+TEST_P(AllocGltDetached, DetachedWaveAllocatesNothing) {
   constexpr int kWave = 64;
   void* args[kWave];
   gg::latch done;
@@ -222,24 +233,43 @@ TEST_P(AllocGltOneWorker, DetachedWaveAllocatesNothing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, AllocGltOneWorker,
+    Backends, AllocGltDetached,
     ::testing::Values(Shape{gg::Impl::abt, 1}, Shape{gg::Impl::qth, 1},
-                      Shape{gg::Impl::mth, 1}),
+                      Shape{gg::Impl::mth, 1}, Shape{gg::Impl::abt, 4},
+                      Shape{gg::Impl::qth, 4}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       return name_of(info.param);
     });
 
-/// GLTO task waves at one GLT_thread: task records, descriptors and the
-/// detached task ULTs all recycle, and taskwait is a latch park.
-class AllocGltoTasks : public ::testing::TestWithParam<o::RuntimeKind> {
+struct GltoShape {
+  o::RuntimeKind kind;
+  int threads;
+};
+
+std::string glto_name(const ::testing::TestParamInfo<GltoShape>& info) {
+  std::string n = o::kind_name(info.param.kind);
+  for (auto& ch : n) {
+    if (ch == '-') ch = '_';
+  }
+  return n + "_" + std::to_string(info.param.threads) + "threads";
+}
+
+void PrintTo(const GltoShape& s, std::ostream* os) {
+  *os << o::kind_name(s.kind) << "_" << s.threads << "threads";
+}
+
+/// GLTO task waves and regions: task records, descriptors, region-member
+/// arguments and the detached task and member ULTs all recycle, and
+/// taskwait and region end are latch parks.
+class AllocGlto : public ::testing::TestWithParam<GltoShape> {
  protected:
   void SetUp() override {
     std::string why;
     if (skip_reason(&why)) GTEST_SKIP() << why;
     o::SelectOptions opts;
-    opts.num_threads = 1;
+    opts.num_threads = GetParam().threads;
     opts.bind_threads = false;
-    o::select(GetParam(), opts);
+    o::select(GetParam().kind, opts);
     selected_ = true;
   }
   void TearDown() override {
@@ -248,10 +278,13 @@ class AllocGltoTasks : public ::testing::TestWithParam<o::RuntimeKind> {
   bool selected_ = false;
 };
 
-TEST_P(AllocGltoTasks, TaskWaveAndTaskwaitAllocateNothing) {
+TEST_P(AllocGlto, TaskWaveAndTaskwaitAllocateNothing) {
   std::atomic<int> count{0};
   std::uint64_t n = ~0ull;
-  o::parallel([&](int, int) {  // one long-lived region around every round
+  // One long-lived region around every round; only its master produces,
+  // so at more than one thread the tasks run, and are freed, elsewhere.
+  o::parallel([&](int tid, int) {
+    if (tid != 0) return;
     n = steady_allocs([&] {
       for (int i = 0; i < 64; ++i) {
         o::task([&count] { count.fetch_add(1, std::memory_order_relaxed); });
@@ -263,35 +296,109 @@ TEST_P(AllocGltoTasks, TaskWaveAndTaskwaitAllocateNothing) {
   EXPECT_EQ(count.load(), 64 * (kWarmRounds + kRounds));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    GltoRuntimes, AllocGltoTasks,
-    ::testing::Values(o::RuntimeKind::glto_abt, o::RuntimeKind::glto_qth,
-                      o::RuntimeKind::glto_mth),
-    [](const ::testing::TestParamInfo<o::RuntimeKind>& info) {
-      std::string n = o::kind_name(info.param);
-      for (auto& ch : n) {
-        if (ch == '-') ch = '_';
-      }
-      return n;
-    });
+/// Nested regions: every member argument and member record recycles. (One
+/// thread only: at 4 threads a parked member may end on another worker than
+/// the one its stack came from, and the stack pool still maps a stack now
+/// and then — the StackPool flow named at AllocGltDetached.)
+class AllocGltoRegions : public AllocGlto {};
 
-/// Native qth at one shepherd. (Auto-freed fork waves at more shepherds
-/// are left out: their records are recycled on whichever shepherd ran
-/// them, so the forking shepherd keeps refilling from the heap.)
+TEST_P(AllocGltoRegions, NestedRegionAllocatesNothing) {
+  std::atomic<int> count{0};
+  const int t = GetParam().threads;
+  const std::uint64_t n = steady_allocs([&] {
+    o::parallel(t, [&](int, int) {
+      o::parallel(2, [&](int, int) {
+        count.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(count.load(), 2 * t * (kWarmRounds + kRounds));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GltoRuntimes, AllocGlto,
+    ::testing::Values(GltoShape{o::RuntimeKind::glto_abt, 1},
+                      GltoShape{o::RuntimeKind::glto_qth, 1},
+                      GltoShape{o::RuntimeKind::glto_mth, 1},
+                      GltoShape{o::RuntimeKind::glto_abt, 4},
+                      GltoShape{o::RuntimeKind::glto_qth, 4},
+                      GltoShape{o::RuntimeKind::glto_mth, 4}),
+    glto_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    GltoRuntimes, AllocGltoRegions,
+    ::testing::Values(GltoShape{o::RuntimeKind::glto_abt, 1},
+                      GltoShape{o::RuntimeKind::glto_qth, 1},
+                      GltoShape{o::RuntimeKind::glto_mth, 1}),
+    glto_name);
+
+/// Native qth at one shepherd.
 class AllocQthNative : public ::testing::Test {
  protected:
   void SetUp() override {
     std::string why;
     if (skip_reason(&why)) GTEST_SKIP() << why;
     gq::Config cfg;
-    cfg.num_shepherds = 1;
+    cfg.num_shepherds = shepherds_;
     cfg.bind_threads = false;
     gq::init(cfg);
   }
   void TearDown() override {
     if (gq::initialized()) gq::finalize();
   }
+  int shepherds_ = 1;
 };
+
+/// Native qth at four shepherds: auto-freed fork records finish on
+/// whichever shepherd ran them and go home to the forking one.
+class AllocQthNativeWide : public AllocQthNative {
+ protected:
+  AllocQthNativeWide() { shepherds_ = 4; }
+  void SetUp() override {
+    AllocQthNative::SetUp();
+    if (IsSkipped()) return;
+    // As in AllocGlt: every shepherd runs one qthread that forks and joins
+    // another, so each holds a cached stack and has adopted its pool slot.
+    for (int s = 0; s < gq::num_shepherds(); ++s) {
+      gq::aligned_t ret = 0;
+      gq::aligned_t sink = 0;
+      gq::fork_to(
+          s,
+          [](void*) -> gq::aligned_t {
+            gq::aligned_t r = 0;
+            gq::aligned_t v = 0;
+            gq::fork([](void*) -> gq::aligned_t { return 1; }, nullptr, &r);
+            gq::readFF(&v, &r);
+            return v;
+          },
+          nullptr, &ret);
+      gq::readFF(&sink, &ret);
+    }
+  }
+};
+
+TEST_F(AllocQthNativeWide, ForkWaveAllocatesNothing) {
+  constexpr int kWave = 64;
+  std::atomic<int> count{0};
+  // No return words: an FEB entry is made the first time a word in an
+  // entry-less bucket gets a waiter, which depends on timing. The forking
+  // main yields until the wave has run instead.
+  const std::uint64_t n = steady_allocs([&] {
+    const int target = count.load() + kWave;
+    for (int i = 0; i < kWave; ++i) {
+      gq::fork(
+          [](void* p) -> gq::aligned_t {
+            static_cast<std::atomic<int>*>(p)->fetch_add(1);
+            return 0;
+          },
+          &count, nullptr);
+    }
+    while (count.load() < target) gq::yield();
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(count.load(), kWave * (kWarmRounds + kRounds));
+}
 
 TEST_F(AllocQthNative, FebCycleAllocatesNothing) {
   gq::aligned_t word = 0;

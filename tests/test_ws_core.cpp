@@ -1,6 +1,6 @@
 // Unit + stress tests for the shared work-stealing scheduler core
-// (sched::WsCore / sched::Freelist) that all three LWT backends dispatch
-// through since the dispatch-parity PR.
+// (sched::WsCore) that all three LWT backends dispatch through, and for the
+// object pool (sched::Pool) their records recycle through.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sched/freelist.hpp"
+#include "sched/chaos.hpp"
+#include "sched/pool.hpp"
 #include "sched/ws_core.hpp"
 
 namespace gs = glto::sched;
@@ -549,63 +550,141 @@ TEST(WsCore, ChaseLevPushNPublishesAcrossGrowth) {
   EXPECT_EQ(sum, kItems * (kItems + 1) / 2);
 }
 
-// ---------------------------------------------------------------- freelist
+// -------------------------------------------------------------------- pool
 
 namespace {
+
+/// One record type per test: each Pool<T> is process-wide, so a shared
+/// type would let one test's slabs feed another's counts.
+template <int Tag>
 struct Rec {
-  int payload = 0;
+  std::uint64_t payload[8] = {};
 };
+
+/// Runs a test body under chaos plan @p cfg (default: off, so slab counts
+/// hold under the chaos leg too), restoring the active plan afterwards.
+class ChaosPlan {
+ public:
+  explicit ChaosPlan(const gs::ChaosConfig& cfg = {}) {
+    gs::chaos_init_from_env();
+    saved_ = gs::chaos_config();
+    gs::chaos_set_for_testing(cfg);
+  }
+  ~ChaosPlan() { gs::chaos_set_for_testing(saved_); }
+  ChaosPlan(const ChaosPlan&) = delete;
+  ChaosPlan& operator=(const ChaosPlan&) = delete;
+
+ private:
+  gs::ChaosConfig saved_;
+};
+
 }  // namespace
 
-TEST(Freelist, RecyclesThroughOwnerList) {
-  gs::Freelist<Rec> fl(2);
-  EXPECT_EQ(fl.try_alloc(0), nullptr) << "starts empty";
-  auto* a = new Rec();
-  fl.recycle(0, a);
-  EXPECT_EQ(fl.try_alloc(0), a) << "owner list returns the recycled record";
-  fl.recycle(0, a);  // give it back for the dtor to free
-}
-
-TEST(Freelist, ForeignRecycleGoesThroughSlabAndRefills) {
-  gs::Freelist<Rec> fl(2);
-  std::vector<Rec*> recs;
-  for (int i = 0; i < 40; ++i) {
-    auto* r = new Rec();
-    recs.push_back(r);
-    fl.recycle(-1, r);  // foreign thread: slab path
+TEST(Pool, RemoteFreesGoHomeSoTheProducerStopsCarving) {
+  using P = gs::Pool<Rec<0>>;
+  ChaosPlan off;
+  constexpr int kBatch =  // more than one slab's worth
+      static_cast<int>(gs::kPoolSlabBytes / sizeof(Rec<0>)) + 64;
+  std::vector<Rec<0>*> batch(kBatch);
+  std::atomic<int> turn{0};  // 0: producer fills, 1: consumer frees
+  std::atomic<bool> stop{false};
+  std::thread consumer([&] {
+    P::free(P::alloc());  // the consumer holds a slot of its own
+    for (;;) {
+      while (turn.load(std::memory_order_acquire) != 1) {
+        if (stop.load(std::memory_order_acquire)) return;
+        std::this_thread::yield();
+      }
+      for (Rec<0>* r : batch) P::free(r);
+      turn.store(0, std::memory_order_release);
+    }
+  });
+  std::size_t carved_after_warmup = 0;
+  for (int round = 0; round < 50; ++round) {
+    if (round == 2) carved_after_warmup = P::slabs_carved();
+    for (Rec<0>*& r : batch) {
+      r = P::alloc();
+      r->payload[0] = static_cast<std::uint64_t>(round);
+    }
+    turn.store(1, std::memory_order_release);
+    while (turn.load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();
+    }
   }
-  EXPECT_EQ(fl.slab_size_approx(), 40u);
-  // Worker 0 refills a batch from the slab lock-free thereafter.
-  int got = 0;
-  while (fl.try_alloc(0) != nullptr) ++got;
-  EXPECT_EQ(got, 40) << "all foreign-recycled records become allocatable";
-  for (Rec* r : recs) fl.recycle(0, r);  // dtor frees
+  stop.store(true, std::memory_order_release);
+  consumer.join();
+  EXPECT_GE(carved_after_warmup, 2u);
+  EXPECT_EQ(P::slabs_carved(), carved_after_warmup)
+      << "blocks freed on the consumer must return to the producer";
 }
 
-TEST(Freelist, OversizedLocalListSpillsToSlab) {
-  gs::Freelist<Rec> fl(2);
-  const std::size_t n = gs::Freelist<Rec>::kSpillHigh + 8;
-  for (std::size_t i = 0; i < n; ++i) fl.recycle(0, new Rec());
-  EXPECT_GT(fl.slab_size_approx(), 0u)
-      << "past kSpillHigh half the local list moves to the shared slab";
-  // Worker 1 (whose list is empty) can now allocate from the slab.
-  Rec* r = fl.try_alloc(1);
-  ASSERT_NE(r, nullptr);
-  fl.recycle(1, r);  // dtor frees everything still in the freelist
+TEST(Pool, FreesFromMoreThreadsThanRemoteListsAllGoHome) {
+  using P = gs::Pool<Rec<4>>;
+  ChaosPlan off;
+  constexpr int kFreers = 6;  // more threads than a slot has remote lists
+  constexpr int kBatch =
+      static_cast<int>(gs::kPoolSlabBytes / sizeof(Rec<4>)) + 64;
+  std::vector<Rec<4>*> batch(kBatch);
+  std::size_t carved_after_warmup = 0;
+  for (int round = 0; round < 5; ++round) {
+    if (round == 2) carved_after_warmup = P::slabs_carved();
+    for (Rec<4>*& r : batch) r = P::alloc();
+    for (int t = 0; t < kFreers; ++t) {  // one at a time, never at once
+      std::thread([&batch, t] {
+        for (int i = t; i < kBatch; i += kFreers) P::free(batch[i]);
+      }).join();
+    }
+  }
+  EXPECT_EQ(P::slabs_carved(), carved_after_warmup)
+      << "the owner must drain every remote list before it carves";
 }
 
-TEST(Freelist, RanksOutOfRangeFallBackToSlab) {
-  gs::Freelist<Rec> fl(1);
-  auto* r = new Rec();
-  fl.recycle(7, r);  // out-of-range rank must not index a list
-  EXPECT_EQ(fl.slab_size_approx(), 1u);
-  // Out-of-range ranks allocate through the slab too: without this, a
-  // process churning past the pool's worker count would recycle into the
-  // slab forever and never drain it (unbounded growth).
-  EXPECT_EQ(fl.try_alloc(7), r);
-  EXPECT_EQ(fl.slab_size_approx(), 0u);
-  EXPECT_EQ(fl.try_alloc(-1), nullptr) << "slab empty: caller allocates";
-  fl.recycle(-1, r);
-  EXPECT_EQ(fl.try_alloc(0), r) << "in-range refill still works";
-  fl.recycle(0, r);
+TEST(Pool, ThreadsStartedOneAfterAnotherReuseOneSlab) {
+  using P = gs::Pool<Rec<1>>;
+  ChaosPlan off;
+  const std::size_t before = P::slabs_carved();
+  for (int i = 0; i < 100; ++i) {  // one at a time, never at once
+    std::thread([] {
+      Rec<1>* a = P::alloc();
+      Rec<1>* b = P::alloc();
+      P::free(a);
+      P::free(b);
+    }).join();
+  }
+  EXPECT_LE(P::slabs_carved() - before, 1u)
+      << "an exiting thread's slot, lists and slab go to the next thread";
 }
+
+TEST(Pool, ChaosAllocFaultCarvesAFreshBlock) {
+  using P = gs::Pool<Rec<2>>;
+  Rec<2>* a = nullptr;
+  {
+    ChaosPlan off;
+    a = P::alloc();
+    a->payload[0] = 7;
+    P::free(a);
+    EXPECT_EQ(P::alloc(), a) << "the owner reuses its freed block";
+    EXPECT_EQ(a->payload[0], 0u) << "a recycled block is constructed anew";
+    P::free(a);
+  }
+  gs::ChaosConfig always;
+  always.enabled = true;
+  always.alloc_p = 1.0;
+  ChaosPlan faults(always);
+  const std::size_t carved = P::slabs_carved();
+  Rec<2>* b = P::alloc();
+  EXPECT_NE(b, a) << "an alloc fault skips the recycled block";
+  EXPECT_EQ(P::slabs_carved(), carved) << "carved from the current slab";
+  P::free(b);
+}
+
+#if defined(GLTO_POOL_ASAN)
+TEST(PoolDeathTest, WriteToFreedBlockIsReported) {
+  using P = gs::Pool<Rec<3>>;
+  Rec<3>* r = P::alloc();
+  P::free(r);
+  EXPECT_DEATH(
+      { static_cast<volatile std::uint64_t*>(r->payload)[4] = 1; },
+      "use-after-poison");
+}
+#endif
