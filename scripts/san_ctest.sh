@@ -41,7 +41,8 @@ case "$san" in
 asan)
   cmake --build "$build" -j"$(nproc)" \
     --target test_taskdep test_bqp test_abt test_qth test_mth test_sched \
-    test_ws_core test_sync test_glt test_glto_runtime test_hardening
+    test_ws_core test_sync test_glt test_glto_runtime test_hardening \
+    test_fctx
   ./"$build"/test_taskdep
   ./"$build"/test_bqp
   ./"$build"/test_sched
@@ -49,6 +50,9 @@ asan)
   ./"$build"/test_abt
   ./"$build"/test_qth
   ./"$build"/test_mth
+  # The stack pool writes each stack's owner header into the mapping, just
+  # above the fiber bounds, and hands stacks between threads.
+  ./"$build"/test_fctx
   # Blocking-primitive lifetimes (continuation parking, wait-node handoff,
   # latch delete-after-wait) across all three backends + foreign threads.
   ./"$build"/test_sync

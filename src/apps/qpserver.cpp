@@ -194,11 +194,13 @@ bool admit(ServerCtx* ctx, Request req) {
 struct ClientArg {
   ServerCtx* ctx = nullptr;
   Request req;
+  glt::latch* done = nullptr;
 };
 
 void client_main(void* argp) {
   auto* a = static_cast<ClientArg*>(argp);
   admit(a->ctx, a->req);
+  a->done->count_down();  // last touch: the producer may free *a after it
 }
 
 std::int64_t knob(const char* name, std::int64_t dflt) {
@@ -256,12 +258,12 @@ Report run(const Config& cfg) {
 
   if (cfg.arrival_rps > 0.0) {
     // Open loop: arrivals are paced at the offered rate regardless of
-    // server state; each request gets a client ULT so admission retries
-    // never hold the pacing loop back. ClientArgs are PODs with stable
-    // addresses for the lifetime of their ULTs.
+    // server state; each request gets a detached client ULT so admission
+    // retries never hold the pacing loop back, and a client's record is
+    // recycled as soon as it finishes. ClientArgs keep stable addresses
+    // until every client has counted `done` down.
     std::vector<ClientArg> args(static_cast<std::size_t>(cfg.requests));
-    std::vector<glt::Ult*> clients;
-    clients.reserve(args.size());
+    glt::latch done(cfg.requests);
     const double gap_ns = 1e9 / cfg.arrival_rps;
     double next_ns = static_cast<double>(common::now_ns());
     for (int i = 0; i < cfg.requests; ++i) {
@@ -273,12 +275,12 @@ Report run(const Config& cfg) {
       req.enqueue_ns = arrive;
       req.deadline_ns = budget_ns > 0 ? arrive + budget_ns : 0;
       req.id = static_cast<std::uint32_t>(i);
-      args[static_cast<std::size_t>(i)] = ClientArg{&ctx, req};
-      clients.push_back(
-          glt::ult_create(client_main, &args[static_cast<std::size_t>(i)]));
+      args[static_cast<std::size_t>(i)] = ClientArg{&ctx, req, &done};
+      glt::ult_create_detached(-1, client_main,
+                               &args[static_cast<std::size_t>(i)]);
       next_ns += gap_ns;
     }
-    for (glt::Ult* c : clients) glt::ult_join(c);
+    done.wait();
   } else {
     // Closed loop: the producer itself runs admission; with no deadline
     // this is the original behaviour — channel backpressure suspends the

@@ -35,7 +35,7 @@ namespace glto::sched {
 struct StatsSnapshot {
   std::uint64_t steals = 0;           ///< units taken from another worker
   std::uint64_t failed_steals = 0;    ///< empty / lost-race steal attempts
-  std::uint64_t stack_cache_hits = 0; ///< ULT stacks served lock-free
+  std::uint64_t stack_cache_hits = 0; ///< stack binds served by a reused stack
   std::uint64_t parks = 0;            ///< idle parks (adaptive 200µs–2ms)
   std::uint64_t parked_us = 0;        ///< total time actually parked, µs
   std::uint64_t wakes_issued = 0;     ///< targeted unparks sent to workers

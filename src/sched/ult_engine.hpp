@@ -13,8 +13,8 @@
 // field at its default) and counts the creation; submit() /
 // submit_bulk() hand it to the shared sched::WsCore. A queued record holds
 // no stack: the worker that first dispatches it binds a pooled stack from
-// its own StackPool cache (bind at first dispatch), and the receiving side
-// of the unit's Done switch releases the stack into *its* cache. Then a
+// its own StackPool slot (bind at first dispatch), and the receiving side
+// of the unit's Done switch releases the stack home to that slot. Then a
 // joinable unit publishes `done` and resumes its joiner, whose join()
 // recycles the record; an auto-free (detached) unit is recycled at once,
 // and nobody may touch its record after it is handed over. A recycled

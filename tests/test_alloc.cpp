@@ -6,10 +6,11 @@
 // filled) and then asserts that the measured rounds call operator new zero
 // times, from any thread. Backend-parameterized: a GLT ULT or tasklet is an
 // engine record on abt, qth and mth alike. Records, GLTO task records and
-// region-member arguments recycle through sched::Pool, which returns a
-// block freed on another worker to the thread that carved it: detached
-// units (abt, qth), native qth forks and tasks produced on one worker and
-// finished on others allocate nothing at 4 workers too.
+// region-member arguments recycle through sched::Pool, and ULT stacks
+// through fctx::StackPool; both return what another worker frees to the
+// thread that made it: detached units, native qth forks, nested regions
+// and tasks produced on one worker and finished on others allocate nothing
+// at 4 workers too.
 //
 // Skipped under ASan/TSan builds and under fault injection: chaos alloc
 // faults make the pool carve fresh blocks on purpose.
@@ -208,11 +209,9 @@ INSTANTIATE_TEST_SUITE_P(
 void count_down(void* p) { static_cast<gg::latch*>(p)->count_down(); }
 
 /// Detached units finish, and free their records, on whichever worker ran
-/// them; the records go home to the creating thread's pool slot. (mth at 4
-/// workers is left out: its work-first spawn binds a stack on one worker
-/// and releases it on another, so the stack pool keeps mapping stacks, and
-/// growing its bookkeeping, for hundreds of rounds — a StackPool flow, not
-/// a record one.)
+/// them; the records go home to the creating thread's pool slot. On mth
+/// the work-first spawn binds a stack on one worker and another releases
+/// it; the stack goes home too.
 class AllocGltDetached : public AllocGlt {};
 
 TEST_P(AllocGltDetached, DetachedWaveAllocatesNothing) {
@@ -236,7 +235,7 @@ INSTANTIATE_TEST_SUITE_P(
     Backends, AllocGltDetached,
     ::testing::Values(Shape{gg::Impl::abt, 1}, Shape{gg::Impl::qth, 1},
                       Shape{gg::Impl::mth, 1}, Shape{gg::Impl::abt, 4},
-                      Shape{gg::Impl::qth, 4}),
+                      Shape{gg::Impl::qth, 4}, Shape{gg::Impl::mth, 4}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       return name_of(info.param);
     });
@@ -296,10 +295,9 @@ TEST_P(AllocGlto, TaskWaveAndTaskwaitAllocateNothing) {
   EXPECT_EQ(count.load(), 64 * (kWarmRounds + kRounds));
 }
 
-/// Nested regions: every member argument and member record recycles. (One
-/// thread only: at 4 threads a parked member may end on another worker than
-/// the one its stack came from, and the stack pool still maps a stack now
-/// and then — the StackPool flow named at AllocGltDetached.)
+/// Nested regions: every member argument, member record and member stack
+/// recycles, also when a parked member ends on another worker than the one
+/// its stack came from.
 class AllocGltoRegions : public AllocGlto {};
 
 TEST_P(AllocGltoRegions, NestedRegionAllocatesNothing) {
@@ -330,7 +328,10 @@ INSTANTIATE_TEST_SUITE_P(
     GltoRuntimes, AllocGltoRegions,
     ::testing::Values(GltoShape{o::RuntimeKind::glto_abt, 1},
                       GltoShape{o::RuntimeKind::glto_qth, 1},
-                      GltoShape{o::RuntimeKind::glto_mth, 1}),
+                      GltoShape{o::RuntimeKind::glto_mth, 1},
+                      GltoShape{o::RuntimeKind::glto_abt, 4},
+                      GltoShape{o::RuntimeKind::glto_qth, 4},
+                      GltoShape{o::RuntimeKind::glto_mth, 4}),
     glto_name);
 
 /// Native qth at one shepherd.

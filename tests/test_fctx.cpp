@@ -111,44 +111,47 @@ TEST(Fctx, ManyLiveContexts) {
   for (auto& s : stacks) gf::StackPool::global().release(s);
 }
 
+static_assert(gf::StackPool::kStackBytes % 4096 == 0,
+              "stacks are mapped in whole pages");
+
 TEST(StackPool, AcquireGivesUsableAlignedStack) {
-  gf::StackPool pool(32 * 1024);
+  auto& pool = gf::StackPool::global();
   gf::Stack s = pool.acquire();
   ASSERT_TRUE(s.valid());
   EXPECT_GE(s.size, 32u * 1024u);
+  EXPECT_LE(s.size, gf::StackPool::kStackBytes);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(s.top) % 16, 0u)
       << "stack top must be 16-byte alignable";
   // Write through the whole usable range (would fault on bad mapping).
   auto* p = static_cast<char*>(s.top) - s.size;
   for (std::size_t i = 0; i < s.size; i += 512) p[i] = char(i);
+  static_cast<char*>(s.top)[-1] = 1;
   pool.release(s);
 }
 
 TEST(StackPool, RecyclesReleasedStacks) {
-  gf::StackPool pool(16 * 1024);
+  auto& pool = gf::StackPool::global();
   gf::Stack a = pool.acquire();
   void* base = a.base;
+  const auto mapped = pool.total_mapped();
+  const auto hits = pool.cache_hits();
   pool.release(a);
   gf::Stack b = pool.acquire();
-  EXPECT_EQ(b.base, base) << "released stack should be recycled";
-  EXPECT_EQ(pool.total_mapped(), 1u);
+  EXPECT_EQ(b.base, base) << "the last stack released comes back first";
+  EXPECT_EQ(pool.total_mapped(), mapped);
+  EXPECT_EQ(pool.cache_hits(), hits + 1);
   pool.release(b);
 }
 
 TEST(StackPool, DistinctStacksWhenHeld) {
-  gf::StackPool pool(16 * 1024);
+  auto& pool = gf::StackPool::global();
+  const auto mapped = pool.total_mapped();
   gf::Stack a = pool.acquire();
   gf::Stack b = pool.acquire();
   EXPECT_NE(a.base, b.base);
-  EXPECT_EQ(pool.total_mapped(), 2u);
+  EXPECT_LE(pool.total_mapped() - mapped, 2u);
   pool.release(a);
   pool.release(b);
-}
-
-TEST(StackPool, RoundsSizeToPages) {
-  gf::StackPool pool(1000);  // < 1 page
-  EXPECT_GE(pool.stack_size(), 1000u);
-  EXPECT_EQ(pool.stack_size() % 4096, 0u);
 }
 
 TEST(StackPool, GuardPageFaultsOnOverflow) {
@@ -156,7 +159,7 @@ TEST(StackPool, GuardPageFaultsOnOverflow) {
   // stack must fault immediately instead of silently corrupting the
   // neighbouring mapping. Regression test for the guard-page contract.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  gf::StackPool pool(16 * 1024);
+  auto& pool = gf::StackPool::global();
   gf::Stack s = pool.acquire();
   auto* guard = static_cast<volatile char*>(s.base);
   EXPECT_DEATH({ guard[0] = 1; }, "");
@@ -166,55 +169,82 @@ TEST(StackPool, GuardPageFaultsOnOverflow) {
   pool.release(s);
 }
 
-TEST(StackPoolCache, GlobalPoolServesFromThreadCache) {
-  auto& pool = gf::StackPool::global();
-  // Prime the cache, then measure: acquire after release must be a cache
-  // hit (lock-free path) and return the just-released stack.
-  gf::Stack a = pool.acquire();
-  void* base = a.base;
-  pool.release(a);
-  const auto hits_before = pool.cache_hits();
-  gf::Stack b = pool.acquire();
-  EXPECT_EQ(b.base, base) << "thread cache is LIFO: hottest stack first";
-  EXPECT_EQ(pool.cache_hits(), hits_before + 1);
-  pool.release(b);
+namespace {
+
+/// Acquires stacks until one is freshly mapped: then every stack the
+/// calling thread's slot owns is held, and its free lists are empty.
+std::vector<gf::Stack> hold_until_mapped(gf::StackPool& pool) {
+  std::vector<gf::Stack> held;
+  for (;;) {
+    const auto mapped = pool.total_mapped();
+    held.push_back(pool.acquire());
+    if (pool.total_mapped() != mapped) return held;
+  }
 }
 
-TEST(StackPoolCache, RefillAndSpillUnderChurn) {
-  auto& pool = gf::StackPool::global();
-  // Hold more stacks than the spill threshold, release them all (forces a
-  // spill to the shared freelist), then re-acquire across threads (forces
-  // batch refills). Stacks must stay distinct and usable throughout.
-  constexpr std::size_t kHeld = gf::StackPool::kCacheSpillHigh + 40;
-  std::vector<gf::Stack> held;
-  held.reserve(kHeld);
-  for (std::size_t i = 0; i < kHeld; ++i) held.push_back(pool.acquire());
-  for (std::size_t i = 0; i < kHeld; ++i) {
-    for (std::size_t j = i + 1; j < kHeld; ++j) {
-      ASSERT_NE(held[i].base, held[j].base);
-    }
-  }
-  for (auto& s : held) pool.release(s);
+}  // namespace
 
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int round = 0; round < 500; ++round) {
-        gf::Stack s = pool.acquire();
-        if (!s.valid()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        // Touch top and bottom of the usable range.
-        auto* lo = static_cast<char*>(s.top) - s.size;
-        lo[0] = static_cast<char>(round);
-        static_cast<char*>(s.top)[-1] = static_cast<char>(round);
-        pool.release(s);
+TEST(StackPool, StackReleasedElsewhereGoesHome) {
+  // Thread B releases a stack thread A mapped, and stays alive: A's next
+  // acquire must get that stack back instead of mapping another.
+  auto& pool = gf::StackPool::global();
+  std::vector<gf::Stack> held = hold_until_mapped(pool);
+  const gf::Stack mine = held.back();
+  held.pop_back();
+  const auto mapped = pool.total_mapped();
+  std::atomic<int> step{0};
+  std::thread b([&] {
+    pool.release(mine);
+    step.store(1);
+    while (step.load() != 2) std::this_thread::yield();
+  });
+  while (step.load() != 1) std::this_thread::yield();
+  gf::Stack again = pool.acquire();
+  EXPECT_EQ(again.base, mine.base);
+  EXPECT_EQ(pool.total_mapped(), mapped);
+  step.store(2);
+  b.join();
+  pool.release(again);
+  for (auto& s : held) pool.release(s);
+}
+
+TEST(StackPool, CrossThreadChurnMapsOnlyWhatIsHeld) {
+  // One thread acquires waves of stacks and another releases them, as
+  // mth's work-first spawn binds a stack on one worker and another
+  // releases it. Each wave comes back to the acquiring thread, so the
+  // churn maps at most one wave's worth of stacks.
+  auto& pool = gf::StackPool::global();
+  constexpr std::size_t kWave = 24;
+  constexpr int kRounds = 200;
+  const auto mapped = pool.total_mapped();
+  std::vector<gf::Stack> wave(kWave);
+  std::atomic<int> posted{0};
+  std::atomic<int> released{0};
+  bool distinct = true;
+  std::thread releaser([&] {
+    for (int r = 1; r <= kRounds; ++r) {
+      while (posted.load() != r) std::this_thread::yield();
+      for (auto& s : wave) pool.release(s);
+      released.store(r);
+    }
+  });
+  for (int r = 1; r <= kRounds; ++r) {
+    for (auto& s : wave) {
+      s = pool.acquire();
+      // Touch top and bottom of the usable range.
+      auto* lo = static_cast<char*>(s.top) - s.size;
+      lo[0] = static_cast<char>(r);
+      static_cast<char*>(s.top)[-1] = static_cast<char>(r);
+    }
+    for (std::size_t i = 0; i < kWave; ++i) {
+      for (std::size_t j = i + 1; j < kWave; ++j) {
+        distinct = distinct && wave[i].base != wave[j].base;
       }
-    });
+    }
+    posted.store(r);
+    while (released.load() != r) std::this_thread::yield();
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(pool.cache_hits(), 0u);
+  releaser.join();
+  EXPECT_TRUE(distinct);
+  EXPECT_LE(pool.total_mapped() - mapped, kWave);
 }

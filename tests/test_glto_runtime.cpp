@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <set>
 
+#include "fctx/stack_pool.hpp"
 #include "glt/glt.hpp"
 #include "omp/omp.hpp"
 
@@ -173,6 +174,24 @@ TEST(GltoAllBackends, CountersReportGltThreads) {
     select_glto(kind, 3);
     EXPECT_EQ(o::runtime().counters().os_threads_created, 3u)
         << o::kind_name(kind);
+    o::shutdown();
+  }
+}
+
+TEST(GltoAllBackends, NestedRegionsStopMappingStacks) {
+  // A member's stack may be bound on one worker and released on another
+  // (mth's work-first spawn does it every time). It goes home to the slot
+  // that mapped it, so nested regions at 4 threads map a few stacks per
+  // worker and then none: the bound is a small constant, not a rate.
+  const auto& pool = glto::fctx::StackPool::global();
+  for (auto kind : {o::RuntimeKind::glto_abt, o::RuntimeKind::glto_qth,
+                    o::RuntimeKind::glto_mth}) {
+    select_glto(kind, 4);
+    const std::uint64_t m0 = pool.total_mapped();
+    for (int round = 0; round < 400; ++round) {
+      o::parallel(4, [](int, int) { o::parallel(2, [](int, int) {}); });
+    }
+    EXPECT_LE(pool.total_mapped() - m0, 16u) << o::kind_name(kind);
     o::shutdown();
   }
 }
