@@ -364,16 +364,16 @@ TEST(AbtSteal, SelfLocalFollowsUnitAcrossSteals) {
 
 TEST(AbtSteal, StackCacheHitsCountRecycledStacks) {
   AbtScope s(1);
-  // Single xstream → the stack released when the first ULT finishes lands
-  // in *this* thread's cache, so the second ULT's acquire must be a
-  // lock-free cache hit, visible as a strictly increasing counter.
+  // Single xstream → the stack released when the first ULT finishes goes
+  // home to *this* thread's slot, so the second ULT's acquire must reuse
+  // it, visible as a strictly increasing counter.
   std::atomic<int> x{0};
   auto bump = [](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); };
   ga::join(ga::ult_create(bump, &x));
   const auto hits_before = ga::stats().stack_cache_hits;
   ga::join(ga::ult_create(bump, &x));
   EXPECT_GE(ga::stats().stack_cache_hits, hits_before + 1)
-      << "recycled ULT stack must be served from the per-thread cache";
+      << "recycled ULT stack must be served from the thread's stack slot";
   EXPECT_EQ(x.load(), 2);
 }
 

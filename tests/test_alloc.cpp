@@ -2,15 +2,15 @@
 // creation, GLTO task waves and regions, and the qth FEB table.
 //
 // The global operator new/delete are replaced with counting versions. Each
-// case runs warm-up rounds (pool slots adopted, stack caches and queues
-// filled) and then asserts that the measured rounds call operator new zero
-// times, from any thread. Backend-parameterized: a GLT ULT or tasklet is an
-// engine record on abt, qth and mth alike. Records, GLTO task records and
-// region-member arguments recycle through sched::Pool, and ULT stacks
-// through fctx::StackPool; both return what another worker frees to the
-// thread that made it: detached units, native qth forks, nested regions
-// and tasks produced on one worker and finished on others allocate nothing
-// at 4 workers too.
+// case runs warm-up rounds (pool and stack slots adopted, free lists and
+// queues filled) and then asserts that the measured rounds call operator
+// new zero times, from any thread. Backend-parameterized: a GLT ULT or
+// tasklet is an engine record on abt, qth and mth alike. Records, GLTO
+// task records and region-member arguments recycle through sched::Pool,
+// and ULT stacks through fctx::StackPool; both return what another worker
+// frees to the thread that made it: detached units, native qth forks,
+// nested regions and tasks produced on one worker and finished on others
+// allocate nothing at 4 workers too.
 //
 // Skipped under ASan/TSan builds and under fault injection: chaos alloc
 // faults make the pool carve fresh blocks on purpose.

@@ -284,7 +284,7 @@ TEST(Mth, StrandRecordsAreRecycled) {
   const auto st = gm::stats();
   EXPECT_EQ(st.strands_created, 3u * 64u);
   EXPECT_GT(st.stack_cache_hits, 0u)
-      << "recycled strands must hit the per-thread stack cache";
+      << "recycled strands must reuse released stacks";
 }
 
 TEST(Mth, ReinitAfterFinalize) {

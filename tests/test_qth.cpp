@@ -335,7 +335,7 @@ TEST(Qth, ThreadRecordsAreRecycled) {
   const auto st = gq::stats();
   EXPECT_EQ(st.threads_created, 3u * kBatch);
   EXPECT_GT(st.stack_cache_hits, 0u)
-      << "recycled qthreads must hit the per-thread stack cache";
+      << "recycled qthreads must reuse released stacks";
 }
 
 TEST(Qth, ReinitAfterFinalize) {
